@@ -14,7 +14,7 @@ use m4ps_dsp::{
     forward_dct, forward_dct_int, inverse_dct, inverse_dct_int, quantize_intra, sad_16x16,
     sad_16x16_with_cutoff, scan_zigzag, Block, HalfPel, Kernels,
 };
-use m4ps_memsim::{AccessKind, AddressSpace, Hierarchy, MachineSpec, MemModel, SimBuf};
+use m4ps_memsim::{AccessKind, AddressSpace, Hierarchy, MachineSpec, MemModel, RectSpan, SimBuf};
 use m4ps_testkit::bench::{black_box, BenchRunner};
 
 fn bench_dct(r: &mut BenchRunner) {
@@ -247,6 +247,28 @@ fn bench_memsim(r: &mut BenchRunner) {
                 16,
             );
             y += 1;
+        });
+    }
+    // A SAD candidate's charge: the fixed current block and a reference
+    // block one candidate over, 16 rows each, in row lockstep (512
+    // bytes). The reference block slides one pixel per iteration, as
+    // a full search does.
+    {
+        let mut h = Hierarchy::new(MachineSpec::o2());
+        let mut x = 0u64;
+        r.bench_bytes("memsim/access_rect_pair", 512, || {
+            let cur = RectSpan {
+                addr: 0x10_0000 + 16 * 720,
+                stride: 720,
+                row_bytes: 16,
+            };
+            let reference = RectSpan {
+                addr: black_box(0x20_0000 + 8 * 720 + (x & 31)),
+                stride: 720,
+                row_bytes: 16,
+            };
+            h.access_rect_pair(cur, reference, 16, AccessKind::Load, 16);
+            x += 1;
         });
     }
 }

@@ -30,6 +30,16 @@ use std::sync::{Arc, Mutex};
 /// border, so anything larger marks a corrupt stream.
 const MV_LIMIT: i32 = 2 * (crate::plane::PAD as i32 - 1);
 
+/// Largest VOL width or height the decoder accepts, in pixels. It
+/// admits every `vidgen` resolution (the largest, `HUGE`, is 2048 wide)
+/// with room to spare.
+pub const MAX_VOL_DIMENSION: usize = 4096;
+
+/// Largest VOL area the decoder accepts, in macroblocks (4096×2048
+/// pixels). Together with [`MAX_VOL_DIMENSION`] it bounds what a VOL
+/// header can make the decoder allocate before a single VOP is read.
+pub const MAX_VOL_MBS: usize = 32_768;
+
 /// Reconstructs a motion vector from its predictor and decoded
 /// differences, validating the result against the padded surface.
 fn checked_mv(pred: MotionVector, dx: i32, dy: i32) -> Result<MotionVector, CodecError> {
@@ -121,11 +131,20 @@ impl VideoObjectDecoder {
     /// # Errors
     ///
     /// Returns [`CodecError::InvalidStream`] for non-MB-aligned
-    /// dimensions.
+    /// dimensions, or dimensions past [`MAX_VOL_DIMENSION`] or
+    /// [`MAX_VOL_MBS`]; nothing is allocated for a rejected header.
     pub fn with_vol(space: &mut AddressSpace, vol: VolHeader) -> Result<Self, CodecError> {
         if !vol.width.is_multiple_of(16) || !vol.height.is_multiple_of(16) {
             return Err(CodecError::InvalidStream(
                 "VOL dimensions must be multiples of 16",
+            ));
+        }
+        if vol.width > MAX_VOL_DIMENSION
+            || vol.height > MAX_VOL_DIMENSION
+            || (vol.width / 16) * (vol.height / 16) > MAX_VOL_MBS
+        {
+            return Err(CodecError::InvalidStream(
+                "VOL dimensions exceed decode limits",
             ));
         }
         space.set_tag("dec.reference_frames");

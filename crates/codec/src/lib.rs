@@ -73,7 +73,7 @@ mod vlc;
 
 pub use arith::{ArithDecoder, ArithEncoder, ContextModel};
 pub use config::{EncoderConfig, GopStructure, SearchStrategy};
-pub use decoder::{DecodedVop, VideoObjectDecoder};
+pub use decoder::{DecodedVop, VideoObjectDecoder, MAX_VOL_DIMENSION, MAX_VOL_MBS};
 pub use encoder::{
     EncodedVop, FrameView, ReconPlanes, Scheduling, VideoObjectCoder, VopStats, SCHED_ENV,
 };

@@ -64,9 +64,10 @@ impl MotionSearch {
     /// for exactly the rows visited.
     ///
     /// Computes first on the raw surfaces through the fixed-size dsp
-    /// kernels, then replays the per-row reference stream (current row,
-    /// reference row, row ops) for the rows the cutoff let the kernel
-    /// visit — the same interleaved charges the staged row loop issued.
+    /// kernels, then charges the rows the cutoff let the kernel visit:
+    /// one paired rectangle (current row, reference row, in row
+    /// lockstep — the interleaving the staged row loop issued) and one
+    /// summed compute charge for those rows.
     #[allow(clippy::too_many_arguments)]
     fn sad_candidate_sized<M: MemModel>(
         mem: &mut M,
@@ -93,11 +94,8 @@ impl MotionSearch {
             8 => (k.sad8_cutoff)(cdata, cstride, cx, cy, rdata, rstride, rx, ry, cutoff),
             _ => unreachable!("unsupported block size {size}"),
         };
-        for row in 0..rows as isize {
-            cur.touch_row_read(mem, bx, by + row, size);
-            reference.touch_row_read(mem, bx + dx, by + dy + row, size);
-            mem.add_ops(SAD_ROW_OPS * size as u64 / 16);
-        }
+        cur.touch_rect_pair_read(mem, (bx, by), reference, (bx + dx, by + dy), size, rows);
+        mem.add_ops(rows as u64 * (SAD_ROW_OPS * size as u64 / 16));
         acc
     }
 

@@ -5,7 +5,7 @@
 //! search and compensation may address candidates that spill over the
 //! frame edge without bounds branches in the inner loops.
 
-use m4ps_memsim::{AccessKind, AddressSpace, MemModel, SimBuf};
+use m4ps_memsim::{AccessKind, AddressSpace, MemModel, RectSpan, SimBuf};
 use std::ops::Range;
 
 /// Border width in pixels around every plane.
@@ -143,18 +143,53 @@ impl TracedPlane {
         if w == 0 || h == 0 {
             return;
         }
-        let first = self.index(x, y);
-        // Validate the far corner so the rect obeys the same padded
-        // bounds as the per-row path would.
-        let _ = self.index(x + w as isize - 1, y + h as isize - 1);
+        let span = self.rect_span((x, y), w, h);
         mem.access_rect(
-            self.buf.addr_of(first),
-            self.stride as u64,
+            span.addr,
+            span.stride,
             h as u64,
-            w as u64,
+            span.row_bytes,
             AccessKind::Load,
             w as u64,
         );
+    }
+
+    /// Charges traced reads of two `w × h` windows walked in row
+    /// lockstep — this plane's at `at`, then `other`'s at `other_at`,
+    /// row by row — as one paired rectangular charge: identical
+    /// counters, in identical order, to alternating
+    /// [`TracedPlane::load_row`] on the two planes for each row.
+    pub(crate) fn touch_rect_pair_read<M: MemModel>(
+        &self,
+        mem: &mut M,
+        at: (isize, isize),
+        other: &TracedPlane,
+        other_at: (isize, isize),
+        w: usize,
+        h: usize,
+    ) {
+        if w == 0 || h == 0 {
+            return;
+        }
+        mem.access_rect_pair(
+            self.rect_span(at, w, h),
+            other.rect_span(other_at, w, h),
+            h as u64,
+            AccessKind::Load,
+            w as u64,
+        );
+    }
+
+    /// The [`RectSpan`] of a `w × h` window at `(x, y)`, validating both
+    /// corners against the padded bounds the per-row path enforces.
+    fn rect_span(&self, (x, y): (isize, isize), w: usize, h: usize) -> RectSpan {
+        let first = self.index(x, y);
+        let _ = self.index(x + w as isize - 1, y + h as isize - 1);
+        RectSpan {
+            addr: self.buf.addr_of(first),
+            stride: self.stride as u64,
+            row_bytes: w as u64,
+        }
     }
 
     /// Charges traced writes of a `w × h` pixel window at `(x, y)` as
@@ -171,13 +206,12 @@ impl TracedPlane {
         if w == 0 || h == 0 {
             return;
         }
-        let first = self.index(x, y);
-        let _ = self.index(x + w as isize - 1, y + h as isize - 1);
+        let span = self.rect_span((x, y), w, h);
         mem.access_rect(
-            self.buf.addr_of(first),
-            self.stride as u64,
+            span.addr,
+            span.stride,
             h as u64,
-            w as u64,
+            span.row_bytes,
             AccessKind::Store,
             w as u64,
         );

@@ -1,14 +1,17 @@
 //! End-to-end differential for the memsim charging fast path: full
-//! encode and decode runs under the memoized [`Hierarchy`] must produce
-//! the same bitstream, the same [`Counters`] (every field), the same
-//! DRAM traffic, and the same region attribution as the un-memoized
-//! [`NaiveHierarchy`] reference — at every slice and thread count.
+//! encode and decode runs under the fast [`Hierarchy`] must produce the
+//! same bitstream, the same [`Counters`] (every field), the same DRAM
+//! traffic, and the same region attribution as the stamp-and-scan
+//! [`NaiveHierarchy`] reference — at every slice and thread count, and
+//! in both the fast test and the paper configuration.
 //!
 //! This is the pinned-scenario half of the differential suite; the
 //! random-stream half lives in `crates/memsim/tests/fastpath_equiv.rs`.
 
 use m4ps_codec::{EncoderConfig, FrameView, GopStructure, VideoObjectCoder, VideoObjectDecoder};
-use m4ps_memsim::{AddressSpace, Hierarchy, MachineSpec, MemModel, NaiveHierarchy, ParallelModel};
+use m4ps_memsim::{
+    AddressSpace, Hierarchy, MachineSpec, MemModel, NaiveHierarchy, ParallelModel, Region,
+};
 use m4ps_vidgen::{Resolution, Scene, SceneSpec};
 
 const FRAMES: usize = 4;
@@ -26,20 +29,40 @@ fn test_config(slices: usize) -> EncoderConfig {
 }
 
 fn encode<M: ParallelModel>(mem: &mut M, slices: usize, threads: usize) -> Vec<u8> {
+    encode_with(
+        mem,
+        |_, _| {},
+        test_config(slices),
+        Resolution::QCIF,
+        threads,
+    )
+}
+
+/// Encodes `FRAMES` frames of a seeded scene at `res` under `config`,
+/// letting `attach` see the address-space regions once the coder has
+/// allocated its buffers.
+fn encode_with<M: ParallelModel>(
+    mem: &mut M,
+    attach: impl FnOnce(&mut M, &[Region]),
+    config: EncoderConfig,
+    res: Resolution,
+    threads: usize,
+) -> Vec<u8> {
     let scene = Scene::new(SceneSpec {
-        resolution: Resolution::QCIF,
+        resolution: res,
         objects: 0,
         seed: 7,
     });
     let mut space = AddressSpace::new();
-    let mut coder = VideoObjectCoder::new(&mut space, 176, 144, test_config(slices)).unwrap();
+    let mut coder = VideoObjectCoder::new(&mut space, res.width, res.height, config).unwrap();
+    attach(mem, space.regions());
     coder.set_threads(threads);
     let mut stream = coder.header_bytes();
     for t in 0..FRAMES {
         let f = scene.frame(t);
         let view = FrameView {
-            width: 176,
-            height: 144,
+            width: res.width,
+            height: res.height,
             y: &f.y,
             u: &f.u,
             v: &f.v,
@@ -147,4 +170,38 @@ fn encode_is_counter_identical_on_onyx2() {
     let naive_stream = encode(&mut naive, 4, 2);
     assert_eq!(fast_stream, naive_stream);
     assert_models_equal(&fast, &naive, "encode onyx2");
+}
+
+/// The paper configuration — exhaustive search, half-pel refinement,
+/// B-VOPs, rate control, software prefetch — plus its 4MV variant, which
+/// adds the 8×8 refine searches. Both take the paired-rectangle SAD
+/// charge on every candidate, so every study machine must see identical
+/// counters, DRAM traffic and region tallies under both models.
+#[test]
+fn paper_config_encode_is_counter_identical_on_every_study_machine() {
+    let res = Resolution::QCIF;
+    for machine in MachineSpec::study_machines() {
+        for four_mv in [false, true] {
+            let config = EncoderConfig {
+                four_mv,
+                ..EncoderConfig::paper()
+            };
+            let mut fast = Hierarchy::new(machine.clone());
+            let mut naive = NaiveHierarchy::new(machine.clone());
+            let fast_stream = encode_with(&mut fast, Hierarchy::attach_regions, config, res, 1);
+            let naive_stream =
+                encode_with(&mut naive, NaiveHierarchy::attach_regions, config, res, 1);
+            let what = format!("paper encode on {} (4MV {four_mv})", machine.name);
+            assert_eq!(fast_stream, naive_stream, "{what}: bitstream diverged");
+            assert_models_equal(&fast, &naive, &what);
+            assert!(
+                fast.counters().prefetches > 0,
+                "{what}: prefetch path unused"
+            );
+            assert!(
+                fast.region_misses().iter().any(|r| r.l1_misses > 0),
+                "{what}: no region saw a miss"
+            );
+        }
+    }
 }

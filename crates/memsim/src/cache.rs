@@ -1,6 +1,6 @@
 //! Set-associative cache with true-LRU replacement and
 //! write-back / write-allocate policy, matching the MIPS R10000/R12000
-//! data caches.
+//! data caches. Sets are kept in recency order (see [`Cache`]).
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,32 +42,29 @@ pub struct ProbeResult {
     pub writeback_of: Option<u64>,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Monotonic recency stamp; larger = more recently used.
-    last_use: u64,
-}
+/// Tag value marking an empty way. No real tag reaches it: a tag is
+/// `addr >> (line_shift + set_bits)` and [`Cache::new`] requires that
+/// shift to be non-zero.
+const EMPTY: u64 = u64::MAX;
 
 /// One level of set-associative cache.
+///
+/// Each set is kept in recency order: way 0 holds the most recently
+/// used line and the last way the least recently used one. Empty ways
+/// (tag `u64::MAX`) only ever sit at the tail, so evicting the last way
+/// is exactly "first invalid way, else LRU". A hit on way 0 is one
+/// compare; a hit on a later way rotates it to the front.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: u64,
     line_shift: u32,
+    set_shift: u32,
     set_mask: u64,
-    lines: Vec<Line>,
-    tick: u64,
+    /// `sets × assoc` tags, set-major, each set in recency order.
+    tags: Vec<u64>,
+    /// Dirty flags parallel to `tags`.
+    dirty: Vec<bool>,
     stats: CacheStats,
-    /// MRU memo: `(line number, global way index)` of the line touched by
-    /// the most recent [`Cache::probe`]. A repeat probe of the same line
-    /// performs the exact hit transition without the set scan — sound
-    /// because every probe refreshes the memo, so no intervening probe
-    /// can have reallocated the memoized way. Cleared by
-    /// [`Cache::reset`] and [`Cache::probe_naive`].
-    mru: Option<(u64, usize)>,
 }
 
 /// Hit/miss accounting local to a cache level.
@@ -86,18 +83,26 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if `config` is not a consistent power-of-two geometry.
+    /// Panics if `config` is not a consistent power-of-two geometry, or
+    /// if it is a single set of one-byte lines (whose tags would span
+    /// the whole `u64` range).
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
+        let line_shift = config.line_bytes.trailing_zeros();
+        let set_shift = sets.trailing_zeros();
+        assert!(
+            line_shift + set_shift > 0,
+            "degenerate cache geometry {config:?}"
+        );
+        let ways = (sets as usize) * config.assoc;
         Cache {
             config,
-            sets,
-            line_shift: config.line_bytes.trailing_zeros(),
+            line_shift,
+            set_shift,
             set_mask: sets - 1,
-            lines: vec![Line::default(); (sets as usize) * config.assoc],
-            tick: 0,
+            tags: vec![EMPTY; ways],
+            dirty: vec![false; ways],
             stats: CacheStats::default(),
-            mru: None,
         }
     }
 
@@ -116,120 +121,83 @@ impl Cache {
         addr & !(self.config.line_bytes - 1)
     }
 
+    /// First way index and tag of the set holding `addr`'s line.
+    #[inline]
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let line_no = addr >> self.line_shift;
+        let base = (line_no & self.set_mask) as usize * self.config.assoc;
+        (base, line_no >> self.set_shift)
+    }
+
     /// Probes (and on miss, allocates) the line containing `addr`.
     /// `write` marks the line dirty on hit or after allocation.
+    #[inline]
     pub fn probe(&mut self, addr: u64, write: bool) -> ProbeResult {
-        let line_no = addr >> self.line_shift;
-        if let Some((mru_no, slot)) = self.mru {
-            if mru_no == line_no {
-                // Exact hit transition with the set scan short-circuited:
-                // the memoized way still holds this line (see `mru` docs),
-                // and the transition below is byte-for-byte the slow hit
-                // path's.
-                self.tick += 1;
-                let way = &mut self.lines[slot];
-                way.last_use = self.tick;
-                way.dirty |= write;
-                self.stats.hits += 1;
-                return ProbeResult {
-                    hit: true,
-                    writeback_of: None,
-                };
-            }
-        }
-        self.probe_scan(line_no, write, true)
-    }
-
-    /// The reference probe path: no MRU memoization is consulted or
-    /// created, only the plain set scan. State transitions are identical
-    /// to [`Cache::probe`]; the naive model uses this so the differential
-    /// suite exercises the memoized path against it.
-    pub fn probe_naive(&mut self, addr: u64, write: bool) -> ProbeResult {
-        self.mru = None;
-        self.probe_scan(addr >> self.line_shift, write, false)
-    }
-
-    /// Full set scan + LRU replacement, optionally refreshing the memo.
-    fn probe_scan(&mut self, line_no: u64, write: bool, memoize: bool) -> ProbeResult {
-        self.tick += 1;
-        let set = (line_no & self.set_mask) as usize;
-        let tag = line_no >> self.sets.trailing_zeros();
-        let base = set * self.config.assoc;
-        let ways = &mut self.lines[base..base + self.config.assoc];
-
-        // Hit path.
-        if let Some(i) = ways.iter().position(|w| w.valid && w.tag == tag) {
-            let way = &mut ways[i];
-            way.last_use = self.tick;
-            way.dirty |= write;
+        let (base, tag) = self.locate(addr);
+        if self.tags[base] == tag {
+            self.dirty[base] |= write;
             self.stats.hits += 1;
-            if memoize {
-                self.mru = Some((line_no, base + i));
-            }
             return ProbeResult {
                 hit: true,
                 writeback_of: None,
             };
         }
+        self.probe_slow(base, tag, write)
+    }
 
-        // Miss: pick an invalid way, else the LRU way.
+    /// A probe whose line is not the MRU way of its set: a hit further
+    /// down (rotated to the front) or a miss (evicting the last way).
+    fn probe_slow(&mut self, base: usize, tag: u64, write: bool) -> ProbeResult {
+        let ways = base..base + self.config.assoc;
+        if let Some(i) = self.tags[ways.clone()].iter().position(|&t| t == tag) {
+            let dirty = self.dirty[base + i] | write;
+            self.install_front(base, i, tag, dirty);
+            self.stats.hits += 1;
+            return ProbeResult {
+                hit: true,
+                writeback_of: None,
+            };
+        }
         self.stats.misses += 1;
-        let victim_idx = ways
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| if w.valid { w.last_use + 1 } else { 0 })
-            .map(|(i, _)| i)
-            .expect("assoc >= 1");
-        let victim = &mut ways[victim_idx];
+        let last = ways.end - 1;
         let mut writeback_of = None;
-        if victim.valid && victim.dirty {
+        if self.tags[last] != EMPTY && self.dirty[last] {
             self.stats.writebacks += 1;
-            let victim_line = (victim.tag << self.sets.trailing_zeros()) | set as u64;
+            let set = (base / self.config.assoc) as u64;
+            let victim_line = (self.tags[last] << self.set_shift) | set;
             writeback_of = Some(victim_line << self.line_shift);
         }
-        *victim = Line {
-            tag,
-            valid: true,
-            dirty: write,
-            last_use: self.tick,
-        };
-        if memoize {
-            self.mru = Some((line_no, base + victim_idx));
-        }
+        self.install_front(base, last - base, tag, write);
         ProbeResult {
             hit: false,
             writeback_of,
         }
     }
 
-    /// Accounts a hit that the owning hierarchy's MRU filter resolved
-    /// without probing: the line is already the most recently used in its
-    /// set, so skipping the recency restamp is the identity transition.
-    /// Only the hit statistic needs to advance.
-    pub(crate) fn filtered_hit(&mut self) {
-        self.stats.hits += 1;
+    /// Moves ways `0..i` of the set at `base` back by one, overwriting
+    /// way `i`, and puts `tag` with its dirty flag at way 0.
+    #[inline]
+    fn install_front(&mut self, base: usize, i: usize, tag: u64, dirty: bool) {
+        for w in (base + 1..=base + i).rev() {
+            self.tags[w] = self.tags[w - 1];
+            self.dirty[w] = self.dirty[w - 1];
+        }
+        self.tags[base] = tag;
+        self.dirty[base] = dirty;
     }
 
     /// `true` if the line containing `addr` is currently resident
     /// (does not update recency or statistics).
     pub fn contains(&self, addr: u64) -> bool {
-        let line_no = addr >> self.line_shift;
-        let set = (line_no & self.set_mask) as usize;
-        let tag = line_no >> self.sets.trailing_zeros();
-        let base = set * self.config.assoc;
-        self.lines[base..base + self.config.assoc]
-            .iter()
-            .any(|w| w.valid && w.tag == tag)
+        let (base, tag) = self.locate(addr);
+        self.tags[base..base + self.config.assoc].contains(&tag)
     }
 
     /// Invalidates everything and zeroes statistics.
     pub fn reset(&mut self) {
-        for l in &mut self.lines {
-            *l = Line::default();
-        }
-        self.tick = 0;
+        self.tags.fill(EMPTY);
+        self.dirty.fill(false);
         self.stats = CacheStats::default();
-        self.mru = None;
     }
 }
 
@@ -350,47 +318,49 @@ mod tests {
         assert_eq!(c.stats(), CacheStats::default());
     }
 
-    /// Random probe streams must be indistinguishable between the
-    /// memoized and naive probe paths — same results, same stats, same
-    /// future behaviour (checked by interleaving a verification stream).
+    /// A write hit on the MRU way (the one-compare path) must still
+    /// dirty the line: fill the 2-way set (lines 0x40, 0xc0) and evict
+    /// 0x40, expecting a writeback.
     #[test]
-    fn memoized_probe_matches_naive_probe() {
-        let mut fast = tiny();
-        let mut naive = tiny();
-        // A stream with heavy same-line repeats (the memoized case) plus
-        // conflict-miss churn within set 0.
-        let stream: Vec<(u64, bool)> = (0..2000u64)
-            .map(|i| {
-                let addr = match i % 7 {
-                    0..=3 => 0x40,        // repeat line
-                    4 => 128 * (i % 5),   // set-0 conflicts
-                    5 => 32 * (i % 11),   // sweep
-                    _ => 0x40 + (i % 32), // same line, different byte
-                };
-                (addr, i % 3 == 0)
-            })
-            .collect();
-        for &(addr, write) in &stream {
-            assert_eq!(fast.probe(addr, write), naive.probe_naive(addr, write));
-        }
-        assert_eq!(fast.stats(), naive.stats());
-        for a in (0..2048u64).step_by(32) {
-            assert_eq!(fast.contains(a), naive.contains(a), "line {a:#x}");
-        }
-    }
-
-    #[test]
-    fn repeat_probe_uses_memo_with_exact_transition() {
+    fn mru_way_write_hit_dirties_the_line() {
         let mut c = tiny();
         c.probe(0x40, false);
-        // Second touch of the same line: hit via the memo.
         assert!(c.probe(0x47, true).hit);
         assert_eq!(c.stats().hits, 1);
-        // The memoized write must have dirtied the line: fill the 2-way
-        // set (lines 0x40, 0xc0) and evict 0x40, expecting a writeback.
         c.probe(0xc0, false);
         let r = c.probe(0x140, false);
         assert_eq!(r.writeback_of, Some(0x40));
+    }
+
+    /// A hit on a later way carries its dirty flag to the front with
+    /// it, and the way it displaced becomes the victim.
+    #[test]
+    fn later_way_hit_rotates_line_and_dirty_flag_to_front() {
+        let mut c = tiny();
+        c.probe(0, true); // dirty, then demoted to way 1
+        c.probe(128, false);
+        assert!(c.probe(0, false).hit); // rotated back to way 0
+        let r = c.probe(256, false); // evicts clean 128, not dirty 0
+        assert_eq!(r.writeback_of, None);
+        assert!(c.contains(0) && !c.contains(128));
+        let r = c.probe(384, false); // now 0 is LRU: dirty eviction
+        assert_eq!(r.writeback_of, Some(0));
+    }
+
+    #[test]
+    fn empty_ways_fill_before_any_eviction() {
+        let mut c = Cache::new(CacheConfig {
+            size_bytes: 128,
+            line_bytes: 32,
+            assoc: 4,
+        });
+        for a in [0u64, 32, 64] {
+            assert_eq!(c.probe(a * 4, true).writeback_of, None);
+        }
+        assert!(c.probe(0, false).hit);
+        assert_eq!(c.probe(384, true).writeback_of, None); // fourth way
+                                                           // Full: LRU is 128 (0 was refreshed), and it is dirty.
+        assert_eq!(c.probe(512, false).writeback_of, Some(128));
     }
 
     #[test]

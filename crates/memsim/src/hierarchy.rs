@@ -4,7 +4,7 @@ use crate::cache::Cache;
 use crate::counters::Counters;
 use crate::dram::DramModel;
 use crate::machine::MachineSpec;
-use crate::model::{AccessKind, MemModel, ParallelModel};
+use crate::model::{AccessKind, MemModel, ParallelModel, RectSpan};
 use crate::space::Region;
 use crate::timing::CycleBreakdown;
 use crate::tlb::Tlb;
@@ -52,22 +52,8 @@ pub struct Hierarchy {
     region_tags: Vec<String>,
     region_l1: Vec<u64>,
     region_l2: Vec<u64>,
-    /// L1 line shift, cached off `machine.l1.line_bytes`.
-    l1_shift: u32,
     /// TLB page shift, cached off `machine.tlb.page_bytes`.
     page_shift: u32,
-    /// Line number of the line most recently sent through
-    /// [`Hierarchy::probe_line`]. A whole span falling inside this line
-    /// (and the MRU page) short-circuits the probe: a just-probed line
-    /// is already the most recently used in its set, so skipping the
-    /// LRU restamp is the identity transition. `u64::MAX` = none.
-    mru_line: u64,
-    /// Whether `mru_line` is known dirty. Stores may only take the fast
-    /// path when it is (the dirty-bit update is then a no-op); a store
-    /// to a clean-or-unknown line falls through to the full probe once.
-    mru_line_dirty: bool,
-    /// VPN most recently resolved through the TLB. `u64::MAX` = none.
-    mru_page: u64,
 }
 
 impl Hierarchy {
@@ -85,11 +71,7 @@ impl Hierarchy {
             region_tags: Vec::new(),
             region_l1: Vec::new(),
             region_l2: Vec::new(),
-            l1_shift: machine.l1.line_bytes.trailing_zeros(),
             page_shift: machine.tlb.page_bytes.trailing_zeros(),
-            mru_line: u64::MAX,
-            mru_line_dirty: false,
-            mru_page: u64::MAX,
             machine,
         }
     }
@@ -190,20 +172,24 @@ impl Hierarchy {
     /// data (DRAM traffic and writebacks are charged unconditionally)
     /// but are not demand misses, so the demand miss counters and the
     /// per-region attribution are gated on it.
+    #[inline]
     fn probe_line(&mut self, addr: u64, write: bool, demand: bool) {
-        self.mru_line = addr >> self.l1_shift;
-        self.mru_line_dirty = write;
         let r1 = self.l1.probe(addr, write);
-        if r1.hit {
-            return;
+        if !r1.hit {
+            self.l1_miss(addr, r1.writeback_of, demand);
         }
+    }
+
+    /// The L1-miss half of [`Hierarchy::probe_line`]: demand
+    /// accounting, the victim's writeback into L2, and the refill.
+    fn l1_miss(&mut self, addr: u64, writeback_of: Option<u64>, demand: bool) {
         if demand {
             self.counters.l1_misses += 1;
             if let Some(idx) = self.region_of(addr) {
                 self.region_l1[idx] += 1;
             }
         }
-        if let Some(victim) = r1.writeback_of {
+        if let Some(victim) = writeback_of {
             // Dirty L1 line drains to L2; it is a write touch of L2.
             self.counters.l1_writebacks += 1;
             let wb = self.l2.probe(victim, true);
@@ -237,27 +223,28 @@ impl Hierarchy {
         }
     }
 
-    /// TLB walk + line probes for one span, with the MRU short-circuit.
-    /// Callers have already charged the architectural loads/stores and
-    /// `bytes_accessed`.
-    fn charge_span(&mut self, addr: u64, len: u64, write: bool) {
-        let last = addr.saturating_add(len.max(1) - 1);
-        // Fast path: the whole span lies inside the most recently probed
-        // L1 line and the most recently resolved TLB page. Both are the
-        // most recently used entries of their structures, so skipping
-        // their LRU restamps changes no replacement decision, and a
-        // store additionally requires the line to be known dirty so the
-        // dirty-bit update is a no-op. Only the observable hit/lookup
-        // tallies advance.
-        if (addr >> self.l1_shift) == self.mru_line
-            && (last >> self.l1_shift) == self.mru_line
-            && (addr >> self.page_shift) == self.mru_page
-            && (!write || self.mru_line_dirty)
-        {
-            self.tlb.filtered_hit();
-            self.l1.filtered_hit();
-            return;
+    /// Adds the architectural side of an access: `ops` graduated loads
+    /// or stores covering `bytes` bytes.
+    #[inline]
+    fn charge_arch(&mut self, kind: AccessKind, ops: u64, bytes: u64) {
+        match kind {
+            AccessKind::Load => self.counters.loads += ops,
+            AccessKind::Store => self.counters.stores += ops,
         }
+        self.counters.bytes_accessed += bytes;
+    }
+
+    /// TLB walk + line probes for one span. Callers have already
+    /// charged the architectural loads/stores and `bytes_accessed`.
+    #[inline]
+    fn charge_span(&mut self, addr: u64, last: u64, write: bool) {
+        self.walk_pages(addr, last);
+        self.probe_lines(addr, last, write);
+    }
+
+    /// One TLB lookup per page of the span `addr..=last`.
+    #[inline]
+    fn walk_pages(&mut self, addr: u64, last: u64) {
         let page = self.machine.tlb.page_bytes;
         let mut a = addr & !(page - 1);
         let last_page = last & !(page - 1);
@@ -265,12 +252,16 @@ impl Hierarchy {
             if !self.tlb.lookup(a) {
                 self.counters.tlb_misses += 1;
             }
-            self.mru_page = a >> self.page_shift;
             if a == last_page {
                 break;
             }
             a += page;
         }
+    }
+
+    /// One demand probe per L1 line of the span `addr..=last`.
+    #[inline]
+    fn probe_lines(&mut self, addr: u64, last: u64, write: bool) {
         let line = self.machine.l1.line_bytes;
         let mut a = addr & !(line - 1);
         let last_line = last & !(line - 1);
@@ -284,14 +275,18 @@ impl Hierarchy {
     }
 }
 
+/// Last byte of a `len`-byte span at `addr`; a zero-length span
+/// touches one byte and the end saturates at the top of the address
+/// space.
+#[inline]
+fn span_last(addr: u64, len: u64) -> u64 {
+    addr.saturating_add(len.max(1) - 1)
+}
+
 impl MemModel for Hierarchy {
     fn access_range(&mut self, addr: u64, len: u64, kind: AccessKind, arch_ops: u64) {
-        match kind {
-            AccessKind::Load => self.counters.loads += arch_ops,
-            AccessKind::Store => self.counters.stores += arch_ops,
-        }
-        self.counters.bytes_accessed += len.max(1);
-        self.charge_span(addr, len, matches!(kind, AccessKind::Store));
+        self.charge_arch(kind, arch_ops, len.max(1));
+        self.charge_span(addr, span_last(addr, len), kind == AccessKind::Store);
     }
 
     fn access_rect(
@@ -308,19 +303,62 @@ impl MemModel for Hierarchy {
         }
         // Bulk-charge the architectural counts (additive, so identical
         // to the default per-row charging), then walk the rows through
-        // the same span prober `access_range` uses — each row benefits
-        // from the MRU short-circuit against its predecessor.
-        match kind {
-            AccessKind::Load => self.counters.loads += ops_per_row * rows,
-            AccessKind::Store => self.counters.stores += ops_per_row * rows,
-        }
-        self.counters.bytes_accessed += row_bytes.max(1) * rows;
-        let write = matches!(kind, AccessKind::Store);
+        // the same span prober `access_range` uses.
+        self.charge_arch(kind, ops_per_row * rows, row_bytes.max(1) * rows);
+        let write = kind == AccessKind::Store;
         let mut a = addr;
         for r in 0..rows {
-            self.charge_span(a, row_bytes, write);
+            self.charge_span(a, span_last(a, row_bytes), write);
             if r + 1 < rows {
                 a = a.saturating_add(stride);
+            }
+        }
+    }
+
+    fn access_rect_pair(
+        &mut self,
+        a: RectSpan,
+        b: RectSpan,
+        rows: u64,
+        kind: AccessKind,
+        ops_per_row: u64,
+    ) {
+        if rows == 0 {
+            return;
+        }
+        self.charge_arch(
+            kind,
+            2 * ops_per_row * rows,
+            (a.row_bytes.max(1) + b.row_bytes.max(1)) * rows,
+        );
+        let write = kind == AccessKind::Store;
+        // Row r−1 looked up page `pa` then `pb`, leaving `pb` MRU and
+        // `pa` next (or `pa == pb` MRU alone). When row r's spans lie in
+        // those same single pages, its two lookups are hits that leave
+        // that order exactly as it was — given room for both pages.
+        let room_for_two = self.machine.tlb.entries >= 2;
+        let mut prev_pages = None;
+        let (mut addr_a, mut addr_b) = (a.addr, b.addr);
+        for r in 0..rows {
+            let (last_a, last_b) = (
+                span_last(addr_a, a.row_bytes),
+                span_last(addr_b, b.row_bytes),
+            );
+            let pages = (addr_a >> self.page_shift, addr_b >> self.page_shift);
+            let single_pages =
+                last_a >> self.page_shift == pages.0 && last_b >> self.page_shift == pages.1;
+            if single_pages && prev_pages == Some(pages) {
+                self.tlb.filtered_hits(2);
+                self.probe_lines(addr_a, last_a, write);
+                self.probe_lines(addr_b, last_b, write);
+            } else {
+                self.charge_span(addr_a, last_a, write);
+                self.charge_span(addr_b, last_b, write);
+            }
+            prev_pages = (single_pages && (room_for_two || pages.0 == pages.1)).then_some(pages);
+            if r + 1 < rows {
+                addr_a = addr_a.saturating_add(a.stride);
+                addr_b = addr_b.saturating_add(b.stride);
             }
         }
     }
@@ -552,22 +590,22 @@ mod tests {
         assert_eq!(h.counters().l1_misses, 2);
     }
 
-    /// The MRU filter must be invisible in the counters: repeat touches,
-    /// store-after-store, and eviction churn all agree with the naive
-    /// model (the full differential suite lives in tests/fastpath_equiv).
+    /// Way-0 hits, later-way hits that rotate a set, store-after-store,
+    /// and eviction churn all agree with the naive model (the full
+    /// differential suite lives in tests/fastpath_equiv).
     #[test]
-    fn mru_filter_matches_naive_on_hit_miss_eviction_sequences() {
+    fn recency_sets_match_naive_on_hit_miss_eviction_sequences() {
         use crate::naive::NaiveHierarchy;
         let mut fast = Hierarchy::new(small_machine());
         let mut naive = NaiveHierarchy::new(small_machine());
         let run = |f: &mut Hierarchy, n: &mut NaiveHierarchy| {
             let script: &[(u64, u64, AccessKind)] = &[
                 (0x100, 8, AccessKind::Load),
-                (0x104, 8, AccessKind::Load),   // same line: filtered
-                (0x100, 16, AccessKind::Store), // same line, clean: slow path
-                (0x108, 8, AccessKind::Store),  // same line, now dirty: filtered
+                (0x104, 8, AccessKind::Load),   // same line: way-0 hit
+                (0x100, 16, AccessKind::Store), // same line, clean: dirties it
+                (0x108, 8, AccessKind::Store),  // same line, now dirty
                 (0x4100, 8, AccessKind::Load),  // same L1 set (1 KB apart)
-                (0x100, 8, AccessKind::Load),
+                (0x100, 8, AccessKind::Load),   // way-1 hit: rotates
                 (0x8100, 8, AccessKind::Store), // evicts within the set
                 (0x100, 8, AccessKind::Load),
                 (0x11c, 8, AccessKind::Load), // straddles into next line

@@ -11,6 +11,19 @@ pub enum AccessKind {
     Store,
 }
 
+/// One side of a paired rectangular charge (see
+/// [`MemModel::access_rect_pair`]): rows of `row_bytes` bytes, the first
+/// at `addr`, each later one `stride` bytes further.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RectSpan {
+    /// Address of the first row.
+    pub addr: u64,
+    /// Distance between consecutive rows in bytes.
+    pub stride: u64,
+    /// Bytes per row.
+    pub row_bytes: u64,
+}
+
 /// A sink for the codec's memory-reference stream.
 ///
 /// Every logical data access the codec performs is reported here. The
@@ -52,6 +65,35 @@ pub trait MemModel {
             self.access_range(a, row_bytes, kind, ops_per_row);
             if r + 1 < rows {
                 a = a.saturating_add(stride);
+            }
+        }
+    }
+
+    /// Reports two rectangles walked in row lockstep: row `r` of `a`,
+    /// then row `r` of `b`, for `rows` rows. Each row of each side
+    /// charges `ops_per_row` architectural accesses of `kind`.
+    ///
+    /// Defined as exactly that interleaved per-row
+    /// [`MemModel::access_range`] loop (strides added with
+    /// `saturating_add`, as in [`MemModel::access_rect`]);
+    /// implementations may only restructure it in ways that preserve
+    /// every counter bit-for-bit. A SAD candidate charges its current
+    /// and reference rows with one call.
+    fn access_rect_pair(
+        &mut self,
+        a: RectSpan,
+        b: RectSpan,
+        rows: u64,
+        kind: AccessKind,
+        ops_per_row: u64,
+    ) {
+        let (mut addr_a, mut addr_b) = (a.addr, b.addr);
+        for r in 0..rows {
+            self.access_range(addr_a, a.row_bytes, kind, ops_per_row);
+            self.access_range(addr_b, b.row_bytes, kind, ops_per_row);
+            if r + 1 < rows {
+                addr_a = addr_a.saturating_add(a.stride);
+                addr_b = addr_b.saturating_add(b.stride);
             }
         }
     }
@@ -167,6 +209,12 @@ mod tests {
         let mut m = NullModel::new();
         m.access_range(0, 1024, AccessKind::Store, 128);
         m.access_rect(0, 64, 16, 16, AccessKind::Load, 16);
+        let span = RectSpan {
+            addr: 0,
+            stride: 64,
+            row_bytes: 16,
+        };
+        m.access_rect_pair(span, span, 16, AccessKind::Load, 16);
         m.prefetch(64);
         m.add_ops(1_000_000);
         assert_eq!(*m.counters(), Counters::default());

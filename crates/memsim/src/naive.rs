@@ -1,27 +1,160 @@
-//! The naive (un-memoized) reference hierarchy.
+//! The naive reference hierarchy.
 //!
 //! [`NaiveHierarchy`] models exactly the same machine as
-//! [`Hierarchy`](crate::Hierarchy) but takes none of its fast paths: no
-//! hierarchy-level MRU filter, no cache-way memo, no TLB-slot memo, and
-//! only the default per-row [`MemModel::access_rect`]. Every access runs
-//! the full set scan and the full linear TLB scan, re-proving residency
-//! the slow way.
+//! [`Hierarchy`](crate::Hierarchy) but shares none of its data
+//! structures or fast paths. Its caches and TLB are this module's
+//! private stamp-and-scan types: every line and TLB entry carries a
+//! valid bit and a recency stamp from a global tick, a probe scans the
+//! whole set (or all TLB entries), and a miss replaces the first
+//! invalid entry, else the one with the oldest stamp. `Hierarchy`
+//! instead keeps each set and the TLB in recency order. Rectangles go
+//! through the default per-row [`MemModel::access_rect`] and
+//! [`MemModel::access_rect_pair`].
 //!
-//! It exists as the differential baseline for the fast paths: the
+//! It exists as the differential baseline for the fast model: the
 //! `fastpath_equiv` suite drives both models with identical reference
 //! streams (random, adversarial, and full encodes) and requires every
 //! [`Counters`] field, the DRAM traffic, and the per-region tallies to
 //! be bit-identical. Keep its semantics in lockstep with `Hierarchy`
 //! whenever the charging model changes.
 
-use crate::cache::Cache;
+use crate::cache::{CacheConfig, CacheStats, ProbeResult};
 use crate::counters::Counters;
 use crate::dram::DramModel;
 use crate::hierarchy::RegionMisses;
 use crate::machine::MachineSpec;
 use crate::model::{AccessKind, MemModel, ParallelModel};
 use crate::space::Region;
-use crate::tlb::Tlb;
+use crate::tlb::TlbConfig;
+
+/// One cache line of the reference cache.
+#[derive(Debug, Clone, Copy, Default)]
+struct Line {
+    tag: u64,
+    valid: bool,
+    dirty: bool,
+    /// Recency stamp; larger = more recently used.
+    last_use: u64,
+}
+
+/// Reference set-associative write-back cache: LRU by stamp and scan.
+#[derive(Debug, Clone)]
+struct StampCache {
+    config: CacheConfig,
+    set_shift: u32,
+    line_shift: u32,
+    set_mask: u64,
+    lines: Vec<Line>,
+    tick: u64,
+    stats: CacheStats,
+}
+
+impl StampCache {
+    fn new(config: CacheConfig) -> Self {
+        let sets = config.sets();
+        StampCache {
+            config,
+            set_shift: sets.trailing_zeros(),
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_mask: sets - 1,
+            lines: vec![Line::default(); sets as usize * config.assoc],
+            tick: 0,
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// Set index, tag and way range of `addr`'s line.
+    fn locate(&self, addr: u64) -> (u64, u64, std::ops::Range<usize>) {
+        let line_no = addr >> self.line_shift;
+        let set = line_no & self.set_mask;
+        let base = set as usize * self.config.assoc;
+        (
+            set,
+            line_no >> self.set_shift,
+            base..base + self.config.assoc,
+        )
+    }
+
+    fn probe(&mut self, addr: u64, write: bool) -> ProbeResult {
+        self.tick += 1;
+        let (set, tag, ways) = self.locate(addr);
+        let ways = &mut self.lines[ways];
+        if let Some(way) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
+            way.last_use = self.tick;
+            way.dirty |= write;
+            self.stats.hits += 1;
+            return ProbeResult {
+                hit: true,
+                writeback_of: None,
+            };
+        }
+        let victim = ways
+            .iter_mut()
+            .min_by_key(|w| if w.valid { w.last_use + 1 } else { 0 })
+            .expect("assoc >= 1");
+        let writeback_of = (victim.valid && victim.dirty)
+            .then(|| ((victim.tag << self.set_shift) | set) << self.line_shift);
+        *victim = Line {
+            tag,
+            valid: true,
+            dirty: write,
+            last_use: self.tick,
+        };
+        self.stats.misses += 1;
+        self.stats.writebacks += u64::from(writeback_of.is_some());
+        ProbeResult {
+            hit: false,
+            writeback_of,
+        }
+    }
+
+    fn contains(&self, addr: u64) -> bool {
+        let (_, tag, ways) = self.locate(addr);
+        self.lines[ways].iter().any(|w| w.valid && w.tag == tag)
+    }
+}
+
+/// Reference fully-associative TLB: LRU by stamp and scan.
+#[derive(Debug, Clone)]
+struct StampTlb {
+    page_shift: u32,
+    /// (virtual page number, recency stamp) per entry; invalid = None.
+    entries: Vec<Option<(u64, u64)>>,
+    tick: u64,
+    misses: u64,
+    lookups: u64,
+}
+
+impl StampTlb {
+    fn new(config: TlbConfig) -> Self {
+        StampTlb {
+            page_shift: config.page_bytes.trailing_zeros(),
+            entries: vec![None; config.entries],
+            tick: 0,
+            misses: 0,
+            lookups: 0,
+        }
+    }
+
+    fn lookup(&mut self, addr: u64) -> bool {
+        let vpn = addr >> self.page_shift;
+        self.tick += 1;
+        self.lookups += 1;
+        let tick = self.tick;
+        if let Some((_, stamp)) = self.entries.iter_mut().flatten().find(|(p, _)| *p == vpn) {
+            *stamp = tick;
+            return true;
+        }
+        self.misses += 1;
+        let victim = self
+            .entries
+            .iter_mut()
+            .min_by_key(|e| e.map_or(0, |(_, stamp)| stamp + 1))
+            .expect("entries >= 1");
+        *victim = Some((vpn, tick));
+        false
+    }
+}
 
 /// Reference memory-hierarchy simulator without any charging fast path.
 ///
@@ -41,9 +174,9 @@ use crate::tlb::Tlb;
 #[derive(Debug, Clone)]
 pub struct NaiveHierarchy {
     machine: MachineSpec,
-    l1: Cache,
-    l2: Cache,
-    tlb: Tlb,
+    l1: StampCache,
+    l2: StampCache,
+    tlb: StampTlb,
     dram: DramModel,
     counters: Counters,
     prefetch_enabled: bool,
@@ -57,9 +190,9 @@ impl NaiveHierarchy {
     /// Builds an empty naive hierarchy with prefetch modelling enabled.
     pub fn new(machine: MachineSpec) -> Self {
         NaiveHierarchy {
-            l1: Cache::new(machine.l1),
-            l2: Cache::new(machine.l2),
-            tlb: Tlb::new(machine.tlb),
+            l1: StampCache::new(machine.l1),
+            l2: StampCache::new(machine.l2),
+            tlb: StampTlb::new(machine.tlb),
             dram: DramModel::new(machine.dram),
             counters: Counters::new(),
             prefetch_enabled: true,
@@ -139,10 +272,10 @@ impl NaiveHierarchy {
         (addr < end).then_some(idx)
     }
 
-    /// Un-memoized line probe through L1 → L2 → DRAM; counter semantics
+    /// Line probe through L1 → L2 → DRAM; counter semantics
     /// identical to the fast hierarchy's `probe_line`.
     fn probe_line(&mut self, addr: u64, write: bool, demand: bool) {
-        let r1 = self.l1.probe_naive(addr, write);
+        let r1 = self.l1.probe(addr, write);
         if r1.hit {
             return;
         }
@@ -154,7 +287,7 @@ impl NaiveHierarchy {
         }
         if let Some(victim) = r1.writeback_of {
             self.counters.l1_writebacks += 1;
-            let wb = self.l2.probe_naive(victim, true);
+            let wb = self.l2.probe(victim, true);
             if !wb.hit {
                 self.counters.l2_misses += 1;
                 self.dram.record_read(self.machine.l2.line_bytes);
@@ -164,7 +297,7 @@ impl NaiveHierarchy {
                 }
             }
         }
-        let r2 = self.l2.probe_naive(addr, false);
+        let r2 = self.l2.probe(addr, false);
         if !r2.hit {
             if demand {
                 self.counters.l2_misses += 1;
@@ -193,7 +326,7 @@ impl MemModel for NaiveHierarchy {
         let mut a = addr & !(page - 1);
         let last_page = last & !(page - 1);
         loop {
-            if !self.tlb.lookup_naive(a) {
+            if !self.tlb.lookup(a) {
                 self.counters.tlb_misses += 1;
             }
             if a == last_page {
@@ -214,8 +347,9 @@ impl MemModel for NaiveHierarchy {
         }
     }
 
-    // access_rect: deliberately the default per-row implementation — it
-    // *is* the reference semantics the optimized override must match.
+    // access_rect and access_rect_pair: deliberately the default per-row
+    // implementations — they *are* the reference semantics the
+    // optimized overrides must match.
 
     fn prefetch(&mut self, addr: u64) {
         if !self.prefetch_enabled {
@@ -268,6 +402,83 @@ impl ParallelModel for NaiveHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Cache;
+    use crate::tlb::Tlb;
+
+    /// A probe stream mixing same-line repeats, same-set conflicts past
+    /// the associativity, and sweeps, with every third probe a store.
+    fn probe_stream() -> impl Iterator<Item = (u64, bool)> {
+        (0..4000u64).map(|i| {
+            let addr = match i % 9 {
+                0..=2 => 0x40 + (i % 32),      // one line, any byte
+                3 | 4 => 256 * (i % 6),        // six lines of set 0
+                5 => 32 * (i % 23),            // sweep across sets
+                6 => 256 * (i % 3) + 32,       // three lines of set 1
+                _ => (i * 0x9e37_79b9) % 8192, // scattered
+            };
+            (addr, i % 3 == 0)
+        })
+    }
+
+    /// The recency-ordered `Cache` and the stamp-and-scan reference agree
+    /// on every probe result, statistic and final residency.
+    #[test]
+    fn recency_cache_matches_stamp_reference() {
+        for assoc in [1usize, 2, 4] {
+            let config = CacheConfig {
+                size_bytes: 256 * assoc as u64,
+                line_bytes: 32,
+                assoc,
+            };
+            let mut fast = Cache::new(config);
+            let mut stamp = StampCache::new(config);
+            for (addr, write) in probe_stream() {
+                assert_eq!(
+                    fast.probe(addr, write),
+                    stamp.probe(addr, write),
+                    "assoc {assoc}, addr {addr:#x}"
+                );
+            }
+            assert_eq!(fast.stats(), stamp.stats, "assoc {assoc}");
+            for a in (0..8192u64).step_by(32) {
+                assert_eq!(
+                    fast.contains(a),
+                    stamp.contains(a),
+                    "assoc {assoc}, line {a:#x}"
+                );
+            }
+        }
+    }
+
+    /// The recency-ordered `Tlb` and the stamp reference agree on every
+    /// lookup, including churn well past capacity.
+    #[test]
+    fn recency_tlb_matches_stamp_reference() {
+        for entries in [1usize, 2, 4, 64] {
+            let config = TlbConfig {
+                entries,
+                page_bytes: 4096,
+            };
+            let mut fast = Tlb::new(config);
+            let mut stamp = StampTlb::new(config);
+            for i in 0..5000u64 {
+                let page = match i % 7 {
+                    0..=2 => i % 2,                // alternating pair
+                    3 => i % (entries as u64 + 3), // cycle just past capacity
+                    4 => (i * 31) % 200,           // churn
+                    _ => 5,
+                };
+                let addr = page * 4096 + (i % 4096);
+                assert_eq!(
+                    fast.lookup(addr),
+                    stamp.lookup(addr),
+                    "entries {entries}, i {i}"
+                );
+            }
+            assert_eq!(fast.misses(), stamp.misses, "entries {entries}");
+            assert_eq!(fast.lookups(), stamp.lookups, "entries {entries}");
+        }
+    }
 
     #[test]
     fn naive_fork_starts_cold_and_absorb_merges() {

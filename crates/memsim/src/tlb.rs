@@ -24,21 +24,23 @@ impl Default for TlbConfig {
     }
 }
 
+/// VPN value marking an empty entry. No real VPN reaches it:
+/// [`Tlb::new`] requires pages of at least two bytes.
+const EMPTY: u64 = u64::MAX;
+
 /// Fully-associative LRU TLB.
+///
+/// The entries are a recency-ordered VPN list: entry 0 is the most
+/// recently used page, the last entry the LRU one, and empty entries
+/// only sit at the tail. A hit on entry 0 is one compare; a hit further
+/// down rotates the page to the front; a miss drops the last entry.
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
     page_shift: u32,
-    /// (virtual page number, recency stamp) per entry; invalid = None.
-    entries: Vec<Option<(u64, u64)>>,
-    tick: u64,
+    vpns: Vec<u64>,
     misses: u64,
     lookups: u64,
-    /// Indices of recently resolved entries, checked before the linear
-    /// scan. A slot is only trusted after verifying its VPN — VPNs are
-    /// unique in the table, so a match is authoritative and the memo
-    /// needs no invalidation. `usize::MAX` marks an empty memo slot.
-    mru: [usize; 2],
 }
 
 impl Tlb {
@@ -46,18 +48,17 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if the page size is not a power of two or `entries` is zero.
+    /// Panics if the page size is not a power of two of at least two
+    /// bytes, or `entries` is zero.
     pub fn new(config: TlbConfig) -> Self {
-        assert!(config.page_bytes.is_power_of_two());
+        assert!(config.page_bytes.is_power_of_two() && config.page_bytes >= 2);
         assert!(config.entries >= 1);
         Tlb {
             config,
             page_shift: config.page_bytes.trailing_zeros(),
-            entries: vec![None; config.entries],
-            tick: 0,
+            vpns: vec![EMPTY; config.entries],
             misses: 0,
             lookups: 0,
-            mru: [usize::MAX; 2],
         }
     }
 
@@ -68,75 +69,31 @@ impl Tlb {
 
     /// Looks up the page containing `addr`; returns `true` on hit and
     /// installs the translation on miss (LRU replacement).
+    #[inline]
     pub fn lookup(&mut self, addr: u64) -> bool {
         let vpn = addr >> self.page_shift;
-        for (m, &slot) in self.mru.iter().enumerate() {
-            let Some(Some((page, _))) = self.entries.get(slot) else {
-                continue;
-            };
-            if *page == vpn {
-                // Exact hit transition without the 64-entry scan.
-                self.tick += 1;
-                self.lookups += 1;
-                self.entries[slot] = Some((vpn, self.tick));
-                if m != 0 {
-                    self.mru.swap(0, m);
-                }
-                return true;
-            }
-        }
-        self.scan(vpn, true)
-    }
-
-    /// The reference lookup path: always the full linear scan, no memo
-    /// consulted or created. Transitions are identical to
-    /// [`Tlb::lookup`]; the naive model uses this as the differential
-    /// baseline.
-    pub fn lookup_naive(&mut self, addr: u64) -> bool {
-        self.scan(addr >> self.page_shift, false)
-    }
-
-    /// Linear scan + LRU install, optionally remembering the resolved
-    /// slot for the next lookup.
-    fn scan(&mut self, vpn: u64, memoize: bool) -> bool {
-        self.tick += 1;
         self.lookups += 1;
-        let mut found = None;
-        for (i, e) in self.entries.iter_mut().enumerate() {
-            if let Some((page, stamp)) = e {
-                if *page == vpn {
-                    *stamp = self.tick;
-                    found = Some(i);
-                    break;
-                }
-            }
+        self.vpns[0] == vpn || self.lookup_slow(vpn)
+    }
+
+    /// A lookup whose page is not entry 0: a hit further down or a miss
+    /// (dropping the last entry). Either way the page moves to the front.
+    fn lookup_slow(&mut self, vpn: u64) -> bool {
+        let found = self.vpns.iter().position(|&v| v == vpn);
+        if found.is_none() {
+            self.misses += 1;
         }
-        let slot = match found {
-            Some(i) => i,
-            None => {
-                self.misses += 1;
-                let (victim_idx, victim) = self
-                    .entries
-                    .iter_mut()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.map_or(0, |(_, stamp)| stamp + 1))
-                    .expect("entries >= 1");
-                *victim = Some((vpn, self.tick));
-                victim_idx
-            }
-        };
-        if memoize {
-            self.mru = [slot, self.mru[0]];
-        }
+        let i = found.unwrap_or(self.vpns.len() - 1);
+        self.vpns.copy_within(0..i, 1);
+        self.vpns[0] = vpn;
         found.is_some()
     }
 
-    /// Accounts a lookup the owning hierarchy's MRU filter resolved
-    /// without scanning: the page is already the most recently used
-    /// entry, so skipping the recency restamp is the identity
-    /// transition. Only the lookup tally advances.
-    pub(crate) fn filtered_hit(&mut self) {
-        self.lookups += 1;
+    /// Accounts `n` lookups the owning hierarchy proved to be hits that
+    /// leave the recency order unchanged (see
+    /// `Hierarchy::access_rect_pair`). Only the lookup tally advances.
+    pub(crate) fn filtered_hits(&mut self, n: u64) {
+        self.lookups += n;
     }
 
     /// Total lookups performed.
@@ -181,32 +138,23 @@ mod tests {
         assert!(!t.lookup(4096)); // page 1 was evicted
     }
 
-    /// The memoized lookup must agree with the naive linear scan on
-    /// results, miss/lookup tallies, and all future replacement
-    /// behaviour, including the alternating-page pattern the memo is
-    /// built for and eviction churn past capacity.
+    /// A page hit further down moves to the front; the page it
+    /// displaced is then the one a lookup of entry 1 finds.
     #[test]
-    fn memoized_lookup_matches_naive_lookup() {
+    fn later_entry_hit_rotates_to_front() {
         let cfg = TlbConfig {
-            entries: 4,
+            entries: 3,
             page_bytes: 4096,
         };
-        let mut fast = Tlb::new(cfg);
-        let mut naive = Tlb::new(cfg);
-        let addrs: Vec<u64> = (0..3000u64)
-            .map(|i| match i % 11 {
-                0..=2 => 0x0,        // repeat page
-                3..=5 => 0x1000,     // alternate page
-                6 => 4096 * (i % 7), // churn past capacity
-                7 => 0x2000,
-                _ => 4096 * (i % 3),
-            })
-            .collect();
-        for &a in &addrs {
-            assert_eq!(fast.lookup(a), naive.lookup_naive(a), "addr {a:#x}");
+        let mut t = Tlb::new(cfg);
+        for p in [0u64, 1, 2] {
+            t.lookup(p * 4096); // order: 2, 1, 0
         }
-        assert_eq!(fast.misses(), naive.misses());
-        assert_eq!(fast.lookups(), naive.lookups());
+        assert!(t.lookup(0)); // order: 0, 2, 1
+        assert!(!t.lookup(3 * 4096)); // evicts 1
+        assert!(t.lookup(2 * 4096));
+        assert!(!t.lookup(4096));
+        assert_eq!(t.misses(), 5);
     }
 
     #[test]

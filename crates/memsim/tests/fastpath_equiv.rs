@@ -1,6 +1,7 @@
-//! Differential property suite: the fast-path [`Hierarchy`] (MRU line
-//! filter, cache-way memo, TLB-slot memo, optimized `access_rect`)
-//! against the un-memoized [`NaiveHierarchy`] reference.
+//! Differential property suite: the fast [`Hierarchy`] (recency-ordered
+//! cache sets and TLB, optimized `access_rect` and `access_rect_pair`)
+//! against the [`NaiveHierarchy`] reference (stamp-and-scan LRU, default
+//! per-row rectangles).
 //!
 //! Every test drives both models with an identical reference stream and
 //! requires *every* [`Counters`] field, the DRAM read/write traffic,
@@ -8,10 +9,11 @@
 //! are chosen to hammer the fast paths where they could diverge:
 //! same-line repeats, store-after-load dirtiness, set-conflict
 //! evictions, page alternation, prefetch interleaving, and rectangular
-//! charging.
+//! and paired-rectangle charging.
 
 use m4ps_memsim::{
-    AccessKind, Counters, Hierarchy, MachineSpec, MemModel, NaiveHierarchy, ParallelModel, Region,
+    AccessKind, Counters, Hierarchy, MachineSpec, MemModel, NaiveHierarchy, ParallelModel,
+    RectSpan, Region,
 };
 use m4ps_testkit::prop::{check, Config};
 use m4ps_testkit::prop_assert_eq;
@@ -22,6 +24,7 @@ use m4ps_testkit::rng::Rng;
 enum Op {
     Range(u64, u64, AccessKind, u64),
     Rect(u64, u64, u64, u64, AccessKind, u64),
+    RectPair(RectSpan, RectSpan, u64, AccessKind, u64),
     Prefetch(u64),
     PrefetchPair(u64),
     Ops(u64),
@@ -32,6 +35,7 @@ fn apply<M: MemModel>(m: &mut M, ops: &[Op]) {
         match op {
             Op::Range(a, l, k, n) => m.access_range(a, l, k, n),
             Op::Rect(a, s, r, w, k, n) => m.access_rect(a, s, r, w, k, n),
+            Op::RectPair(a, b, r, k, n) => m.access_rect_pair(a, b, r, k, n),
             Op::Prefetch(a) => m.prefetch(a),
             Op::PrefetchPair(a) => m.prefetch_pair(a),
             Op::Ops(n) => m.add_ops(n),
@@ -49,9 +53,18 @@ fn small_machine() -> MachineSpec {
     m
 }
 
+/// [`small_machine`] with a one-entry TLB: two spans in different pages
+/// then evict each other on every row.
+fn one_entry_tlb_machine() -> MachineSpec {
+    let mut m = small_machine();
+    m.tlb.entries = 1;
+    m
+}
+
 /// Generates a stream biased toward the patterns the fast paths
-/// memoize: runs of touches inside one line/page, interleaved with
-/// conflicting lines, page churn, stores, rects and prefetches.
+/// shortcut: runs of touches inside one line/page, interleaved with
+/// conflicting lines, page churn, stores, rects, paired rects and
+/// prefetches.
 fn gen_stream(rng: &mut Rng) -> Vec<Op> {
     let mut ops = Vec::new();
     // A handful of hot lines; several alias to the same L1 set.
@@ -66,7 +79,7 @@ fn gen_stream(rng: &mut Rng) -> Vec<Op> {
             AccessKind::Store
         };
         let base = *rng.choose(&bases);
-        match rng.gen_range(0u32..10) {
+        match rng.gen_range(0u32..11) {
             // Repeat touches within one line (the MRU fast path).
             0..=3 => {
                 let line = base & !31;
@@ -89,6 +102,10 @@ fn gen_stream(rng: &mut Rng) -> Vec<Op> {
                 ops.push(Op::Rect(base, stride, rows, w, kind, w));
             }
             8 => {
+                let other = *rng.choose(&bases);
+                ops.push(gen_rect_pair(rng, base, other, kind));
+            }
+            9 => {
                 if rng.gen_bool() {
                     ops.push(Op::Prefetch(base));
                 } else {
@@ -99,6 +116,49 @@ fn gen_stream(rng: &mut Rng) -> Vec<Op> {
         }
     }
     ops
+}
+
+/// A paired rectangle the way SAD candidates issue them (one fixed
+/// block against a displaced one), with the shapes that matter for the
+/// lockstep TLB argument: rows crossing a 16 KB page partway down, spans
+/// straddling lines, both spans in one page or one L1 set, and `rows`
+/// of zero.
+fn gen_rect_pair(rng: &mut Rng, base_a: u64, base_b: u64, kind: AccessKind) -> Op {
+    let page = 16 * 1024;
+    let row_bytes = *rng.choose(&[1u64, 8, 16, 17, 31, 33, 64]);
+    let stride = *rng.choose(&[32u64, 720, 752, 1024, 4096, page, page + 16]);
+    let rows = u64::from(rng.gen_range(0u32..18));
+    let addr_a = match rng.gen_range(0u32..4) {
+        // Start a few rows above a page boundary.
+        0 => (base_a | (page - 1)).saturating_sub(stride * u64::from(rng.gen_range(0u32..4))),
+        // Straddle a line.
+        1 => (base_a | 31) - u64::from(rng.gen_range(0u32..8)),
+        _ => base_a + u64::from(rng.gen_range(0u32..64)),
+    };
+    let addr_b = match rng.gen_range(0u32..4) {
+        // Same L1 set (1 KB apart on the small machine), same page.
+        0 => addr_a + 1024,
+        // A small displacement, like a nearby search candidate.
+        1 => addr_a.saturating_add(u64::from(rng.gen_range(0u32..40))),
+        2 => addr_a,
+        _ => base_b + u64::from(rng.gen_range(0u32..64)),
+    };
+    let ops_per_row = row_bytes;
+    Op::RectPair(
+        RectSpan {
+            addr: addr_a,
+            stride,
+            row_bytes,
+        },
+        RectSpan {
+            addr: addr_b,
+            stride,
+            row_bytes,
+        },
+        rows,
+        kind,
+        ops_per_row,
+    )
 }
 
 /// Asserts full observable equality between the two models.
@@ -129,7 +189,7 @@ fn random_streams_are_counter_identical() {
         &Config::default(),
         gen_stream,
         |ops| {
-            for machine in [small_machine(), MachineSpec::o2()] {
+            for machine in [small_machine(), one_entry_tlb_machine(), MachineSpec::o2()] {
                 let mut fast = Hierarchy::new(machine.clone());
                 let mut naive = NaiveHierarchy::new(machine);
                 apply(&mut fast, ops);
@@ -301,4 +361,201 @@ fn access_rect_equals_row_loop_on_fast_model() {
             Ok(())
         },
     );
+}
+
+/// Streams dominated by paired rectangles, with single spans mixed in
+/// so the TLB order a pair starts from varies. Includes a one-entry TLB,
+/// where pages of the two spans evict each other row by row.
+#[test]
+fn rect_pair_streams_are_counter_identical() {
+    let regions = [Region {
+        tag: "plane".into(),
+        base: 0,
+        bytes: 1 << 22,
+    }];
+    check(
+        "fastpath/rect_pair_streams",
+        &Config::default(),
+        |rng: &mut Rng| {
+            let n = rng.gen_range(1u32..40);
+            (0..n)
+                .map(|_| {
+                    let kind = if rng.gen_range(0u32..4) == 0 {
+                        AccessKind::Store
+                    } else {
+                        AccessKind::Load
+                    };
+                    let a = 0x1000 * u64::from(rng.gen_range(0u32..256));
+                    let b = 0x1000 * u64::from(rng.gen_range(0u32..256));
+                    if rng.gen_range(0u32..5) == 0 {
+                        Op::Range(b + u64::from(rng.gen_range(0u32..64)), 16, kind, 16)
+                    } else {
+                        gen_rect_pair(rng, a, b, kind)
+                    }
+                })
+                .collect::<Vec<Op>>()
+        },
+        |ops| {
+            for machine in [small_machine(), one_entry_tlb_machine(), MachineSpec::o2()] {
+                let mut fast = Hierarchy::new(machine.clone());
+                let mut naive = NaiveHierarchy::new(machine);
+                fast.attach_regions(&regions);
+                naive.attach_regions(&regions);
+                apply(&mut fast, ops);
+                apply(&mut naive, ops);
+                prop_assert_eq!(fast.counters(), naive.counters());
+                prop_assert_eq!(fast.dram().bytes_read(), naive.dram().bytes_read());
+                prop_assert_eq!(fast.dram().bytes_written(), naive.dram().bytes_written());
+                prop_assert_eq!(fast.region_misses(), naive.region_misses());
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The `Hierarchy` override of `access_rect_pair` must equal its
+/// defining interleaved per-row `access_range` loop on the same model.
+#[test]
+fn rect_pair_equals_interleaved_row_loop_on_fast_model() {
+    check(
+        "fastpath/rect_pair_equals_rows",
+        &Config::default(),
+        |rng: &mut Rng| {
+            let kind = if rng.gen_bool() {
+                AccessKind::Load
+            } else {
+                AccessKind::Store
+            };
+            let a = 0x1000 * u64::from(rng.gen_range(0u32..64));
+            let b = 0x1000 * u64::from(rng.gen_range(0u32..64));
+            gen_rect_pair(rng, a, b, kind)
+        },
+        |&op| {
+            let Op::RectPair(a, b, rows, kind, n) = op else {
+                unreachable!()
+            };
+            for machine in [small_machine(), one_entry_tlb_machine()] {
+                let mut paired = Hierarchy::new(machine.clone());
+                let mut by_rows = Hierarchy::new(machine);
+                paired.access_rect_pair(a, b, rows, kind, n);
+                let (mut addr_a, mut addr_b) = (a.addr, b.addr);
+                for r in 0..rows {
+                    by_rows.access_range(addr_a, a.row_bytes, kind, n);
+                    by_rows.access_range(addr_b, b.row_bytes, kind, n);
+                    if r + 1 < rows {
+                        addr_a = addr_a.saturating_add(a.stride);
+                        addr_b = addr_b.saturating_add(b.stride);
+                    }
+                }
+                prop_assert_eq!(paired.counters(), by_rows.counters());
+                prop_assert_eq!(paired.dram().bytes_total(), by_rows.dram().bytes_total());
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Hand-written paired rectangles aimed at the lockstep TLB filter.
+#[test]
+fn pinned_rect_pair_sequences() {
+    let span = |addr, stride, row_bytes| RectSpan {
+        addr,
+        stride,
+        row_bytes,
+    };
+    let page = 16 * 1024;
+    let scripts: Vec<Vec<Op>> = vec![
+        // Both rectangles cross a page boundary after their third row,
+        // one of them also straddling lines.
+        vec![Op::RectPair(
+            span(page - 3 * 752 + 4, 752, 16),
+            span(8 * page - 3 * 752 + 27, 752, 16),
+            16,
+            AccessKind::Load,
+            16,
+        )],
+        // One rectangle crosses into a new page mid-row.
+        vec![Op::RectPair(
+            span(page - 2 * 752 - 8, 752, 16),
+            span(3 * page, 752, 16),
+            8,
+            AccessKind::Load,
+            16,
+        )],
+        // Both spans in one page and one L1 set; then stores to the
+        // same pair, so the dirty bits must survive the rotations.
+        vec![
+            Op::RectPair(
+                span(0x100, 752, 16),
+                span(0x100 + 1024, 752, 16),
+                16,
+                AccessKind::Load,
+                16,
+            ),
+            Op::RectPair(
+                span(0x100, 752, 16),
+                span(0x100 + 1024, 752, 16),
+                16,
+                AccessKind::Store,
+                16,
+            ),
+            Op::Range(0x100 + 2048, 16, AccessKind::Load, 16),
+            Op::Range(0x100 + 3072, 16, AccessKind::Load, 16),
+        ],
+        // The two spans are the same rectangle.
+        vec![Op::RectPair(
+            span(0x4010, 720, 8),
+            span(0x4010, 720, 8),
+            8,
+            AccessKind::Load,
+            8,
+        )],
+        // Zero rows charge nothing; a stride of zero repeats one row.
+        vec![
+            Op::RectPair(
+                span(0x40, 32, 16),
+                span(0x80, 32, 16),
+                0,
+                AccessKind::Load,
+                16,
+            ),
+            Op::RectPair(
+                span(0x40, 0, 16),
+                span(0x9000, 0, 16),
+                4,
+                AccessKind::Store,
+                16,
+            ),
+        ],
+        // Rows running into the top of the address space: the stride
+        // saturates, so the last rows repeat the top line and page.
+        vec![Op::RectPair(
+            span(u64::MAX - 3 * 752, 752, 16),
+            span(u64::MAX - 2 * page, page, 16),
+            8,
+            AccessKind::Load,
+            16,
+        )],
+        vec![Op::RectPair(
+            span(u64::MAX - 20, u64::MAX, 64),
+            span(u64::MAX - 40, 16, 64),
+            5,
+            AccessKind::Store,
+            64,
+        )],
+    ];
+    for machine in [small_machine(), one_entry_tlb_machine(), MachineSpec::o2()] {
+        for (i, script) in scripts.iter().enumerate() {
+            let mut fast = Hierarchy::new(machine.clone());
+            let mut naive = NaiveHierarchy::new(machine.clone());
+            apply(&mut fast, script);
+            apply(&mut naive, script);
+            assert_models_equal(&fast, &naive);
+            assert_ne!(
+                *fast.counters(),
+                Counters::default(),
+                "script {i} was empty"
+            );
+        }
+    }
 }

@@ -105,6 +105,14 @@ if [[ -n "$baseline" && "${M4PS_BENCH_SKIP_COMPARE:-0}" != "1" ]]; then
         cargo run -q --release --offline -p m4ps-testkit --bin bench_compare -- \
             "$baseline" BENCH_smoke.json --phases PHASES_smoke.jsonl
     fi
+elif [[ -z "$baseline" ]]; then
+    # BENCH_*.json is git-ignored, so every fresh checkout lands here:
+    # say so loudly rather than let a skipped gate pass as a green one.
+    msg="bench regression gate SKIPPED: no BENCH_smoke.json baseline existed before this run"
+    if [[ -n "${GITHUB_ACTIONS:-}" ]]; then
+        echo "::warning::$msg"
+    fi
+    echo "!! $msg" >&2
 fi
 
 echo "== verify OK =="

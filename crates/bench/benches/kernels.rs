@@ -14,7 +14,9 @@ use m4ps_dsp::{
     forward_dct, forward_dct_int, inverse_dct, inverse_dct_int, quantize_intra, sad_16x16,
     sad_16x16_with_cutoff, scan_zigzag, Block, HalfPel, Kernels,
 };
-use m4ps_memsim::{AccessKind, AddressSpace, Hierarchy, MachineSpec, MemModel, RectSpan, SimBuf};
+use m4ps_memsim::{
+    AccessKind, AddressSpace, Hierarchy, MachineSpec, MemModel, RectSpan, SimBuf, SweepCandidate,
+};
 use m4ps_testkit::bench::{black_box, BenchRunner};
 
 fn bench_dct(r: &mut BenchRunner) {
@@ -249,27 +251,54 @@ fn bench_memsim(r: &mut BenchRunner) {
             y += 1;
         });
     }
-    // A SAD candidate's charge: the fixed current block and a reference
-    // block one candidate over, 16 rows each, in row lockstep (512
-    // bytes). The reference block slides one pixel per iteration, as
-    // a full search does.
-    {
+    // One macroblock's ±8 full search on a PAL luma plane (stride 752
+    // with the 16-pixel pad): the zero-vector seed over all 16 rows, then
+    // 289 raster candidates whose cutoff stops after 1–13 rows (7.0 on
+    // average; a paper-config encode averages 6.7). The planes sit one
+    // padded PAL luma plane apart (457,216 bytes), as the encoder
+    // allocates them, and the macroblock steps 16 pixels along its row
+    // per iteration, so each sweep starts from the previous one's cache
+    // state, as in an encode. The `fallback` entry adds one 1-row
+    // candidate 60 rows down, which stretches the window past 64 rows,
+    // so the same rows go through the defining row-by-row loop.
+    let full_search: Vec<SweepCandidate> = std::iter::once(SweepCandidate {
+        dx: 0,
+        dy: 0,
+        rows: 16,
+    })
+    .chain((0..289i32).map(|i| SweepCandidate {
+        dx: (i % 17 - 8) as i8,
+        dy: (i / 17 - 8) as i8,
+        rows: (1 + (i * 7 + i * i * 3) % 13) as u8,
+    }))
+    .collect();
+    let tall: Vec<SweepCandidate> = full_search
+        .iter()
+        .copied()
+        .chain([SweepCandidate {
+            dx: 0,
+            dy: 60,
+            rows: 1,
+        }])
+        .collect();
+    for (name, sweep, line_sweep) in [
+        ("memsim/access_block_sweep", &full_search, true),
+        ("memsim/access_block_sweep/fallback", &tall, false),
+    ] {
         let mut h = Hierarchy::new(MachineSpec::o2());
-        let mut x = 0u64;
-        r.bench_bytes("memsim/access_rect_pair", 512, || {
-            let cur = RectSpan {
-                addr: 0x10_0000 + 16 * 720,
-                stride: 720,
+        let mut mb = 0u64;
+        let bytes = sweep.iter().map(|c| 32 * u64::from(c.rows)).sum();
+        r.bench_bytes(name, bytes, || {
+            let span = |plane: u64| RectSpan {
+                addr: 0x10_0000 + plane + 64 * 752 + 16 + 16 * (mb % 44),
+                stride: 752,
                 row_bytes: 16,
             };
-            let reference = RectSpan {
-                addr: black_box(0x20_0000 + 8 * 720 + (x & 31)),
-                stride: 720,
-                row_bytes: 16,
-            };
-            h.access_rect_pair(cur, reference, 16, AccessKind::Load, 16);
-            x += 1;
+            h.access_block_sweep(span(0), span(457_216), black_box(sweep), 16);
+            mb += 1;
         });
+        let fell_back = if line_sweep { 0 } else { mb };
+        assert_eq!(h.sweep_fallbacks(), fell_back, "{name}: wrong path");
     }
 }
 

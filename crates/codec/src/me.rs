@@ -12,11 +12,94 @@
 use crate::config::SearchStrategy;
 use crate::plane::{TracedPlane, PAD};
 use crate::types::MotionVector;
-use m4ps_memsim::MemModel;
+use m4ps_memsim::{MemModel, SweepCandidate};
 use m4ps_obs::{span, MetricId, Phase};
 
 /// Per-pixel-row SAD compute cost (16 abs-diff-accumulate triples).
 const SAD_ROW_OPS: u64 = 48;
+
+/// Integer-pel candidates one sweep holds: the whole ±15 window plus
+/// the zero-vector seed. A longer search (a diamond walk can revisit
+/// positions) charges in several sweeps.
+const MAX_SWEEP: usize = 31 * 31 + 1;
+
+/// The integer-pel half of one block search. Each candidate's cutoff
+/// SAD is computed on the raw surfaces and only logged; the search then
+/// charges every logged candidate at once — one block sweep of exactly
+/// the rows each candidate's kernel visited, and one summed compute
+/// charge — before any half-pel work (compute-then-charge).
+struct IntegerPel<'a> {
+    cur: &'a TracedPlane,
+    reference: &'a TracedPlane,
+    /// Pixel coordinates of the block's top-left corner.
+    at: (isize, isize),
+    size: usize,
+    log: [SweepCandidate; MAX_SWEEP],
+    logged: usize,
+    /// Candidates evaluated, including those already charged.
+    evaluated: u32,
+}
+
+impl<'a> IntegerPel<'a> {
+    fn new(
+        cur: &'a TracedPlane,
+        reference: &'a TracedPlane,
+        at: (isize, isize),
+        size: usize,
+    ) -> Self {
+        IntegerPel {
+            cur,
+            reference,
+            at,
+            size,
+            log: [SweepCandidate::default(); MAX_SWEEP],
+            logged: 0,
+            evaluated: 0,
+        }
+    }
+
+    /// SAD between the block and the reference block displaced by
+    /// integer `(dx, dy)`, with early termination once the sum exceeds
+    /// `cutoff`. Every tier's cutoff kernel checks the cutoff after each
+    /// row, so the rows logged for the charge are the same whichever
+    /// tier is dispatched.
+    fn sad<M: MemModel>(&mut self, mem: &mut M, dx: isize, dy: isize, cutoff: u32) -> u32 {
+        let (cdata, cstride) = self.cur.raw_surface();
+        let (rdata, rstride) = self.reference.raw_surface();
+        let p = PAD as isize;
+        let (bx, by) = self.at;
+        let (cx, cy) = ((bx + p) as usize, (by + p) as usize);
+        let (rx, ry) = ((bx + dx + p) as usize, (by + dy + p) as usize);
+        let k = m4ps_dsp::kernels();
+        let (acc, rows) = match self.size {
+            16 => (k.sad16_cutoff)(cdata, cstride, cx, cy, rdata, rstride, rx, ry, cutoff),
+            8 => (k.sad8_cutoff)(cdata, cstride, cx, cy, rdata, rstride, rx, ry, cutoff),
+            size => unreachable!("unsupported block size {size}"),
+        };
+        if self.logged == MAX_SWEEP {
+            self.charge(mem);
+        }
+        let narrow = |v: isize| i8::try_from(v).expect("displacement inside the padded surface");
+        self.log[self.logged] = SweepCandidate {
+            dx: narrow(dx),
+            dy: narrow(dy),
+            rows: u8::try_from(rows).expect("at most 16 rows"),
+        };
+        self.logged += 1;
+        self.evaluated += 1;
+        acc
+    }
+
+    /// Charges the logged candidates and empties the log.
+    fn charge<M: MemModel>(&mut self, mem: &mut M) {
+        let cands = &self.log[..self.logged];
+        self.cur
+            .touch_block_sweep(mem, self.at, self.reference, self.size, cands);
+        let rows: u64 = cands.iter().map(|c| u64::from(c.rows)).sum();
+        mem.add_ops(rows * (SAD_ROW_OPS * self.size as u64 / 16));
+        self.logged = 0;
+    }
+}
 
 /// Result of a block search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,62 +139,6 @@ impl MotionSearch {
     /// The integer-pel search range.
     pub fn range(&self) -> i16 {
         self.range
-    }
-
-    /// SAD between the `size`×`size` current block at `(bx, by)` and the
-    /// reference block displaced by integer `(dx, dy)`, with early
-    /// termination once the sum exceeds `cutoff`. Charges traced reads
-    /// for exactly the rows visited.
-    ///
-    /// Computes first on the raw surfaces through the fixed-size dsp
-    /// kernels, then charges the rows the cutoff let the kernel visit:
-    /// one paired rectangle (current row, reference row, in row
-    /// lockstep — the interleaving the staged row loop issued) and one
-    /// summed compute charge for those rows.
-    #[allow(clippy::too_many_arguments)]
-    fn sad_candidate_sized<M: MemModel>(
-        mem: &mut M,
-        cur: &TracedPlane,
-        reference: &TracedPlane,
-        bx: isize,
-        by: isize,
-        dx: isize,
-        dy: isize,
-        cutoff: u32,
-        size: usize,
-    ) -> u32 {
-        let (cdata, cstride) = cur.raw_surface();
-        let (rdata, rstride) = reference.raw_surface();
-        let p = PAD as isize;
-        let (cx, cy) = ((bx + p) as usize, (by + p) as usize);
-        let (rx, ry) = ((bx + dx + p) as usize, (by + dy + p) as usize);
-        // Every tier's cutoff kernel checks the cutoff after each row,
-        // so `rows` — and therefore the charge replay below — is
-        // identical whichever tier is dispatched.
-        let k = m4ps_dsp::kernels();
-        let (acc, rows) = match size {
-            16 => (k.sad16_cutoff)(cdata, cstride, cx, cy, rdata, rstride, rx, ry, cutoff),
-            8 => (k.sad8_cutoff)(cdata, cstride, cx, cy, rdata, rstride, rx, ry, cutoff),
-            _ => unreachable!("unsupported block size {size}"),
-        };
-        cur.touch_rect_pair_read(mem, (bx, by), reference, (bx + dx, by + dy), size, rows);
-        mem.add_ops(rows as u64 * (SAD_ROW_OPS * size as u64 / 16));
-        acc
-    }
-
-    /// 16×16 candidate SAD (the macroblock search criterion).
-    #[allow(clippy::too_many_arguments)]
-    fn sad_candidate<M: MemModel>(
-        mem: &mut M,
-        cur: &TracedPlane,
-        reference: &TracedPlane,
-        bx: isize,
-        by: isize,
-        dx: isize,
-        dy: isize,
-        cutoff: u32,
-    ) -> u32 {
-        Self::sad_candidate_sized(mem, cur, reference, bx, by, dx, dy, cutoff, 16)
     }
 
     /// SAD against the half-pel interpolated reference at `(dx, dy)` in
@@ -201,19 +228,19 @@ impl MotionSearch {
             let (cx, cy) = (clamp_full(i32::from(cx)), clamp_full(i32::from(cy)));
             let mut best = (cx, cy);
             let mut best_sad = u32::MAX;
-            let mut candidates = 0u32;
+            let mut int_pel = IntegerPel::new(cur, reference, (bx, by), 8);
             for dy in -2isize..=2 {
                 for dx in -2isize..=2 {
                     let (tx, ty) = (clamp_full((cx + dx) as i32), clamp_full((cy + dy) as i32));
-                    candidates += 1;
-                    let sad =
-                        Self::sad_candidate_sized(mem, cur, reference, bx, by, tx, ty, best_sad, 8);
+                    let sad = int_pel.sad(mem, tx, ty, best_sad);
                     if sad < best_sad {
                         best_sad = sad;
                         best = (tx, ty);
                     }
                 }
             }
+            int_pel.charge(mem);
+            let mut candidates = int_pel.evaluated;
             let mut best_mv = MotionVector::from_full_pel(best.0 as i16, best.1 as i16);
             if self.half_pel {
                 span!(mem, Phase::MeHalfPel, {
@@ -277,33 +304,27 @@ impl MotionSearch {
         }
         let bx = (mbx * 16) as isize;
         let by = (mby * 16) as isize;
-        let mut candidates = 0u32;
+        let mut int_pel = IntegerPel::new(cur, reference, (bx, by), 16);
 
         // Seed with the zero vector (the skip candidate).
-        let mut best_sad = Self::sad_candidate(mem, cur, reference, bx, by, 0, 0, u32::MAX);
+        let mut best_sad = int_pel.sad(mem, 0, 0, u32::MAX);
         let mut best = (0isize, 0isize);
-        candidates += 1;
 
-        let try_candidate = |mem: &mut M,
-                             dx: isize,
-                             dy: isize,
-                             best: &mut (isize, isize),
-                             best_sad: &mut u32,
-                             candidates: &mut u32| {
-            if dx == 0 && dy == 0 {
-                return;
-            }
-            let r = self.range as isize;
-            if dx < -r || dx > r || dy < -r || dy > r {
-                return;
-            }
-            *candidates += 1;
-            let sad = Self::sad_candidate(mem, cur, reference, bx, by, dx, dy, *best_sad);
-            if sad < *best_sad {
-                *best_sad = sad;
-                *best = (dx, dy);
-            }
-        };
+        let mut try_candidate =
+            |mem: &mut M, dx: isize, dy: isize, best: &mut (isize, isize), best_sad: &mut u32| {
+                if dx == 0 && dy == 0 {
+                    return;
+                }
+                let r = self.range as isize;
+                if dx < -r || dx > r || dy < -r || dy > r {
+                    return;
+                }
+                let sad = int_pel.sad(mem, dx, dy, *best_sad);
+                if sad < *best_sad {
+                    *best_sad = sad;
+                    *best = (dx, dy);
+                }
+            };
 
         match self.strategy {
             SearchStrategy::FullSearch => {
@@ -312,7 +333,7 @@ impl MotionSearch {
                 // offset one pixel between candidates (paper §3.2).
                 for dy in -r..=r {
                     for dx in -r..=r {
-                        try_candidate(mem, dx, dy, &mut best, &mut best_sad, &mut candidates);
+                        try_candidate(mem, dx, dy, &mut best, &mut best_sad);
                     }
                 }
             }
@@ -325,14 +346,7 @@ impl MotionSearch {
                 while step >= 1 {
                     for dy in [-step, 0, step] {
                         for dx in [-step, 0, step] {
-                            try_candidate(
-                                mem,
-                                cx + dx,
-                                cy + dy,
-                                &mut best,
-                                &mut best_sad,
-                                &mut candidates,
-                            );
+                            try_candidate(mem, cx + dx, cy + dy, &mut best, &mut best_sad);
                         }
                     }
                     (cx, cy) = best;
@@ -354,14 +368,7 @@ impl MotionSearch {
                 loop {
                     let (cx, cy) = best;
                     for (dx, dy) in LDSP {
-                        try_candidate(
-                            mem,
-                            cx + dx,
-                            cy + dy,
-                            &mut best,
-                            &mut best_sad,
-                            &mut candidates,
-                        );
+                        try_candidate(mem, cx + dx, cy + dy, &mut best, &mut best_sad);
                     }
                     if best == (cx, cy) {
                         break;
@@ -369,18 +376,13 @@ impl MotionSearch {
                 }
                 let (cx, cy) = best;
                 for (dx, dy) in SDSP {
-                    try_candidate(
-                        mem,
-                        cx + dx,
-                        cy + dy,
-                        &mut best,
-                        &mut best_sad,
-                        &mut candidates,
-                    );
+                    try_candidate(mem, cx + dx, cy + dy, &mut best, &mut best_sad);
                 }
             }
         }
 
+        int_pel.charge(mem);
+        let mut candidates = int_pel.evaluated;
         let mut best_mv = MotionVector::from_full_pel(best.0 as i16, best.1 as i16);
 
         if self.half_pel {
@@ -593,6 +595,38 @@ mod tests {
         // And the window overlap must make most of those hits: the whole
         // search window is under 2 KB.
         assert!(c.l1_misses < c.loads / 50);
+    }
+
+    /// A search longer than one sweep's log charges in several sweeps,
+    /// which together are exactly one sweep of all its candidates.
+    #[test]
+    fn overflowing_candidate_log_charges_in_order() {
+        use m4ps_memsim::{block_sweep_by_rows, MachineSpec, NaiveHierarchy, RectSpan};
+        let mut space = AddressSpace::new();
+        let mut null = NullModel::new();
+        let (cur, reference) = shifted_pair(&mut space, &mut null, 64, 64, 1, 0);
+        let mut logged = NaiveHierarchy::new(MachineSpec::o2());
+        let mut int_pel = IntegerPel::new(&cur, &reference, (16, 16), 16);
+        let mut cands = Vec::new();
+        for i in 0..MAX_SWEEP as isize + 40 {
+            let (dx, dy) = (i % 31 - 15, (i / 31) % 31 - 15);
+            let cutoff = (i as u32 * 97) % 4000;
+            int_pel.sad(&mut logged, dx, dy, cutoff);
+            cands.push(int_pel.log[int_pel.logged - 1]);
+        }
+        int_pel.charge(&mut logged);
+        assert_eq!(int_pel.evaluated as usize, cands.len());
+
+        let mut by_rows = NaiveHierarchy::new(MachineSpec::o2());
+        let span = |plane: &TracedPlane| RectSpan {
+            addr: plane.addr_of(16, 16),
+            stride: plane.raw_surface().1 as u64,
+            row_bytes: 16,
+        };
+        block_sweep_by_rows(&mut by_rows, span(&cur), span(&reference), &cands, 16);
+        let rows: u64 = cands.iter().map(|c| u64::from(c.rows)).sum();
+        by_rows.add_ops(rows * SAD_ROW_OPS);
+        assert_eq!(logged.counters(), by_rows.counters());
     }
 
     #[test]

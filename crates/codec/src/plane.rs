@@ -5,7 +5,9 @@
 //! search and compensation may address candidates that spill over the
 //! frame edge without bounds branches in the inner loops.
 
-use m4ps_memsim::{AccessKind, AddressSpace, MemModel, RectSpan, SimBuf};
+use m4ps_memsim::{
+    AccessKind, AddressSpace, MemModel, RectSpan, SimBuf, SweepCandidate, SweepWindow,
+};
 use std::ops::Range;
 
 /// Border width in pixels around every plane.
@@ -154,29 +156,34 @@ impl TracedPlane {
         );
     }
 
-    /// Charges traced reads of two `w × h` windows walked in row
-    /// lockstep — this plane's at `at`, then `other`'s at `other_at`,
-    /// row by row — as one paired rectangular charge: identical
-    /// counters, in identical order, to alternating
-    /// [`TracedPlane::load_row`] on the two planes for each row.
-    pub(crate) fn touch_rect_pair_read<M: MemModel>(
+    /// Charges the traced reads of one block search as one sweep: the
+    /// `size × size` block of this plane at `at` against `reference`'s
+    /// block at `at` displaced by each candidate's `(dx, dy)` pixels,
+    /// `rows` rows of each. Identical counters, in identical order, to
+    /// alternating [`TracedPlane::load_row`] on the two planes for each
+    /// row of each candidate in turn.
+    pub(crate) fn touch_block_sweep<M: MemModel>(
         &self,
         mem: &mut M,
         at: (isize, isize),
-        other: &TracedPlane,
-        other_at: (isize, isize),
-        w: usize,
-        h: usize,
+        reference: &TracedPlane,
+        size: usize,
+        cands: &[SweepCandidate],
     ) {
-        if w == 0 || h == 0 {
+        let Some(w) = SweepWindow::of(cands) else {
             return;
-        }
-        mem.access_rect_pair(
-            self.rect_span(at, w, h),
-            other.rect_span(other_at, w, h),
-            h as u64,
-            AccessKind::Load,
-            w as u64,
+        };
+        let (dx_min, dx_max) = (isize::from(w.dx_min), isize::from(w.dx_max));
+        let window_at = (at.0 + dx_min, at.1 + w.top as isize);
+        let window_w = (dx_max - dx_min) as usize + size;
+        // Validates the window's corners; the origin itself is in the
+        // visible plane.
+        let _ = reference.rect_span(window_at, window_w, (w.bottom - w.top) as usize);
+        mem.access_block_sweep(
+            self.rect_span(at, size, usize::from(w.max_rows)),
+            reference.rect_span(at, size, 1),
+            cands,
+            size as u64,
         );
     }
 

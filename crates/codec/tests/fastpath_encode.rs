@@ -8,7 +8,9 @@
 //! This is the pinned-scenario half of the differential suite; the
 //! random-stream half lives in `crates/memsim/tests/fastpath_equiv.rs`.
 
-use m4ps_codec::{EncoderConfig, FrameView, GopStructure, VideoObjectCoder, VideoObjectDecoder};
+use m4ps_codec::{
+    EncoderConfig, FrameView, GopStructure, SearchStrategy, VideoObjectCoder, VideoObjectDecoder,
+};
 use m4ps_memsim::{
     AddressSpace, Hierarchy, MachineSpec, MemModel, NaiveHierarchy, ParallelModel, Region,
 };
@@ -174,9 +176,10 @@ fn encode_is_counter_identical_on_onyx2() {
 
 /// The paper configuration — exhaustive search, half-pel refinement,
 /// B-VOPs, rate control, software prefetch — plus its 4MV variant, which
-/// adds the 8×8 refine searches. Both take the paired-rectangle SAD
-/// charge on every candidate, so every study machine must see identical
-/// counters, DRAM traffic and region tallies under both models.
+/// adds the 8×8 refine searches. Every motion search charges its SAD
+/// candidates as one block sweep, so every study machine must see
+/// identical counters, DRAM traffic and region tallies under both
+/// models, with every sweep taking the two-pass line sweep.
 #[test]
 fn paper_config_encode_is_counter_identical_on_every_study_machine() {
     let res = Resolution::QCIF;
@@ -202,6 +205,47 @@ fn paper_config_encode_is_counter_identical_on_every_study_machine() {
                 fast.region_misses().iter().any(|r| r.l1_misses > 0),
                 "{what}: no region saw a miss"
             );
+            assert_eq!(fast.sweep_fallbacks(), 0, "{what}: a sweep fell back");
+        }
+    }
+}
+
+/// Every search strategy at the smallest, the paper's and the largest
+/// search range (±15 sweeps a 47-row window), with and without 4MV
+/// refinement, in one slice and in two (forked models): the same
+/// bitstream, counters, DRAM traffic and region tallies as the naive
+/// model.
+#[test]
+fn every_search_strategy_and_range_is_counter_identical() {
+    for search in [
+        SearchStrategy::FullSearch,
+        SearchStrategy::ThreeStep,
+        SearchStrategy::Diamond,
+    ] {
+        for search_range in [1, 8, 15] {
+            for four_mv in [false, true] {
+                for slices in [1, 2] {
+                    let config = EncoderConfig {
+                        search,
+                        search_range,
+                        four_mv,
+                        half_pel: true,
+                        ..test_config(slices)
+                    };
+                    let mut fast = Hierarchy::new(MachineSpec::o2());
+                    let mut naive = NaiveHierarchy::new(MachineSpec::o2());
+                    let res = Resolution::QCIF;
+                    let fast_stream =
+                        encode_with(&mut fast, Hierarchy::attach_regions, config, res, 1);
+                    let naive_stream =
+                        encode_with(&mut naive, NaiveHierarchy::attach_regions, config, res, 1);
+                    let what =
+                        format!("{search:?} ±{search_range} (4MV {four_mv}, {slices} slices)");
+                    assert_eq!(fast_stream, naive_stream, "{what}: bitstream diverged");
+                    assert_models_equal(&fast, &naive, &what);
+                    assert_eq!(fast.sweep_fallbacks(), 0, "{what}: a sweep fell back");
+                }
+            }
         }
     }
 }

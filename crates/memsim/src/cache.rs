@@ -121,6 +121,11 @@ impl Cache {
         addr & !(self.config.line_bytes - 1)
     }
 
+    /// Index of the set holding `addr`'s line.
+    pub(crate) fn set_of(&self, addr: u64) -> usize {
+        ((addr >> self.line_shift) & self.set_mask) as usize
+    }
+
     /// First way index and tag of the set holding `addr`'s line.
     #[inline]
     fn locate(&self, addr: u64) -> (usize, u64) {

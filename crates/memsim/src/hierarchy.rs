@@ -4,8 +4,11 @@ use crate::cache::Cache;
 use crate::counters::Counters;
 use crate::dram::DramModel;
 use crate::machine::MachineSpec;
-use crate::model::{AccessKind, MemModel, ParallelModel, RectSpan};
+use crate::model::{
+    block_sweep_by_rows, AccessKind, MemModel, ParallelModel, RectSpan, SweepCandidate, SweepWindow,
+};
 use crate::space::Region;
+use crate::sweep::{SweepLines, MAX_LINES};
 use crate::timing::CycleBreakdown;
 use crate::tlb::Tlb;
 
@@ -54,6 +57,8 @@ pub struct Hierarchy {
     region_l2: Vec<u64>,
     /// TLB page shift, cached off `machine.tlb.page_bytes`.
     page_shift: u32,
+    /// Block sweeps charged row by row (see [`Hierarchy::sweep_fallbacks`]).
+    sweep_fallbacks: u64,
 }
 
 impl Hierarchy {
@@ -72,6 +77,7 @@ impl Hierarchy {
             region_l1: Vec::new(),
             region_l2: Vec::new(),
             page_shift: machine.tlb.page_bytes.trailing_zeros(),
+            sweep_fallbacks: 0,
             machine,
         }
     }
@@ -165,6 +171,14 @@ impl Hierarchy {
     /// Snapshot of the counters (for delta-instrumentation windows).
     pub fn snapshot(&self) -> Counters {
         self.counters
+    }
+
+    /// Block sweeps ([`MemModel::access_block_sweep`]) this model, and
+    /// the forks it absorbed, charged through the defining row-by-row
+    /// loop because the two-pass line sweep could not prove them exact.
+    /// Counters are identical either way; this only tells which path ran.
+    pub fn sweep_fallbacks(&self) -> u64 {
+        self.sweep_fallbacks
     }
 
     /// Probes one line through L1 → L2 → DRAM. `demand` distinguishes a
@@ -273,6 +287,98 @@ impl Hierarchy {
             a += line;
         }
     }
+
+    /// The two-pass line sweep (DESIGN.md §11): probes each distinct
+    /// line and page of the sweep once in first-touch order, which takes
+    /// every miss of the row-by-row stream in its order, then once more
+    /// in last-touch order, all hits, which leaves each L1 set and the
+    /// TLB in the row-by-row stream's recency order. Returns `false`,
+    /// having changed nothing, when the sweep is outside the conditions
+    /// that make this exact.
+    fn sweep_by_lines(
+        &mut self,
+        block: RectSpan,
+        reference: RectSpan,
+        cands: &[SweepCandidate],
+        ops_per_row: u64,
+    ) -> bool {
+        let Some(window) = SweepWindow::of(cands) else {
+            return false;
+        };
+        let line_shift = self.machine.l1.line_bytes.trailing_zeros();
+        let Some(plan) = SweepLines::new(block, reference, &window, line_shift) else {
+            return false;
+        };
+        let mut keys = [0u64; MAX_LINES];
+        let Some(n) = plan.touch_order(cands, false, &mut keys) else {
+            return false;
+        };
+        // Lines per L1 set, folded modulo the table size (folding only
+        // over-counts, which can only refuse a sweep), and the pages in
+        // first-touch order.
+        let mut per_set = [0u16; 1024];
+        let mut pages = [0u64; 64];
+        let (assoc, max_pages) = (self.machine.l1.assoc, self.machine.tlb.entries.min(64));
+        let mut n_pages = 0;
+        for &key in &keys[..n] {
+            let line = plan.line_addr(key);
+            let count = &mut per_set[self.l1.set_of(line) % per_set.len()];
+            *count += 1;
+            if usize::from(*count) > assoc {
+                return false;
+            }
+            let page = line >> self.page_shift;
+            if !pages[..n_pages].contains(&page) {
+                if n_pages == max_pages {
+                    return false;
+                }
+                pages[n_pages] = page;
+                n_pages += 1;
+            }
+        }
+        // Exact from here: no set receives more sweep lines than it has
+        // ways and no more pages than the TLB has entries, so nothing
+        // the sweep touches is evicted during it.
+        self.charge_arch(
+            AccessKind::Load,
+            2 * ops_per_row * window.total_rows,
+            (block.row_bytes.max(1) + reference.row_bytes.max(1)) * window.total_rows,
+        );
+        for &page in &pages[..n_pages] {
+            if !self.tlb.lookup(page << self.page_shift) {
+                self.counters.tlb_misses += 1;
+            }
+        }
+        for &key in &keys[..n] {
+            self.probe_line(plan.line_addr(key), false, true);
+        }
+        let n = plan
+            .touch_order(cands, true, &mut keys)
+            .expect("the last-touch pass names the first-touch pass's lines");
+        let before = self.counters;
+        // Pages by descending last touch, then looked up ascending.
+        n_pages = 0;
+        for &key in keys[..n].iter().rev() {
+            let page = plan.line_addr(key) >> self.page_shift;
+            if !pages[..n_pages].contains(&page) {
+                pages[n_pages] = page;
+                n_pages += 1;
+            }
+        }
+        for &page in pages[..n_pages].iter().rev() {
+            let hit = self.tlb.lookup(page << self.page_shift);
+            debug_assert!(hit, "a page the sweep touched was evicted");
+        }
+        // A set holding one sweep line already has it in front.
+        for &key in &keys[..n] {
+            let line = plan.line_addr(key);
+            if per_set[self.l1.set_of(line) % per_set.len()] > 1 {
+                self.probe_line(line, false, true);
+            }
+        }
+        debug_assert_eq!(before, self.counters, "the last-touch pass only hits");
+        true
+    }
 }
 
 /// Last byte of a `len`-byte span at `addr`; a zero-length span
@@ -315,51 +421,16 @@ impl MemModel for Hierarchy {
         }
     }
 
-    fn access_rect_pair(
+    fn access_block_sweep(
         &mut self,
-        a: RectSpan,
-        b: RectSpan,
-        rows: u64,
-        kind: AccessKind,
+        block: RectSpan,
+        reference: RectSpan,
+        cands: &[SweepCandidate],
         ops_per_row: u64,
     ) {
-        if rows == 0 {
-            return;
-        }
-        self.charge_arch(
-            kind,
-            2 * ops_per_row * rows,
-            (a.row_bytes.max(1) + b.row_bytes.max(1)) * rows,
-        );
-        let write = kind == AccessKind::Store;
-        // Row r−1 looked up page `pa` then `pb`, leaving `pb` MRU and
-        // `pa` next (or `pa == pb` MRU alone). When row r's spans lie in
-        // those same single pages, its two lookups are hits that leave
-        // that order exactly as it was — given room for both pages.
-        let room_for_two = self.machine.tlb.entries >= 2;
-        let mut prev_pages = None;
-        let (mut addr_a, mut addr_b) = (a.addr, b.addr);
-        for r in 0..rows {
-            let (last_a, last_b) = (
-                span_last(addr_a, a.row_bytes),
-                span_last(addr_b, b.row_bytes),
-            );
-            let pages = (addr_a >> self.page_shift, addr_b >> self.page_shift);
-            let single_pages =
-                last_a >> self.page_shift == pages.0 && last_b >> self.page_shift == pages.1;
-            if single_pages && prev_pages == Some(pages) {
-                self.tlb.filtered_hits(2);
-                self.probe_lines(addr_a, last_a, write);
-                self.probe_lines(addr_b, last_b, write);
-            } else {
-                self.charge_span(addr_a, last_a, write);
-                self.charge_span(addr_b, last_b, write);
-            }
-            prev_pages = (single_pages && (room_for_two || pages.0 == pages.1)).then_some(pages);
-            if r + 1 < rows {
-                addr_a = addr_a.saturating_add(a.stride);
-                addr_b = addr_b.saturating_add(b.stride);
-            }
+        if !self.sweep_by_lines(block, reference, cands, ops_per_row) {
+            self.sweep_fallbacks += 1;
+            block_sweep_by_rows(self, block, reference, cands, ops_per_row);
         }
     }
 
@@ -410,6 +481,7 @@ impl ParallelModel for Hierarchy {
 
     fn absorb(&mut self, child: Self) {
         self.counters.merge(&child.counters);
+        self.sweep_fallbacks += child.sweep_fallbacks;
         self.dram.record_read(child.dram.bytes_read());
         self.dram.record_write(child.dram.bytes_written());
         // Region tallies are matched by tag: the parent map may have

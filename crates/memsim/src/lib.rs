@@ -41,6 +41,7 @@ mod metrics;
 mod model;
 mod naive;
 mod space;
+mod sweep;
 mod timing;
 mod tlb;
 
@@ -51,7 +52,10 @@ pub use dram::{DramConfig, DramModel};
 pub use hierarchy::{Hierarchy, RegionMisses};
 pub use machine::{CpuKind, MachineSpec};
 pub use metrics::MemoryMetrics;
-pub use model::{AccessKind, MemModel, NullModel, ParallelModel, RectSpan};
+pub use model::{
+    block_sweep_by_rows, AccessKind, MemModel, NullModel, ParallelModel, RectSpan, SweepCandidate,
+    SweepWindow,
+};
 pub use naive::NaiveHierarchy;
 pub use space::{AddressSpace, Region};
 pub use timing::TimingModel;

@@ -11,9 +11,9 @@ pub enum AccessKind {
     Store,
 }
 
-/// One side of a paired rectangular charge (see
-/// [`MemModel::access_rect_pair`]): rows of `row_bytes` bytes, the first
-/// at `addr`, each later one `stride` bytes further.
+/// A rectangle of rows for [`MemModel::access_block_sweep`]: rows of
+/// `row_bytes` bytes, the first at `addr`, each later one `stride`
+/// bytes further.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RectSpan {
     /// Address of the first row.
@@ -22,6 +22,97 @@ pub struct RectSpan {
     pub stride: u64,
     /// Bytes per row.
     pub row_bytes: u64,
+}
+
+/// One candidate of a block sweep (see [`MemModel::access_block_sweep`]):
+/// the reference rectangle displaced by `dx` bytes and `dy` rows, of
+/// which the first `rows` rows were read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SweepCandidate {
+    /// Horizontal displacement in bytes.
+    pub dx: i8,
+    /// Vertical displacement in rows of the reference stride.
+    pub dy: i8,
+    /// Rows read, from the top of the displaced rectangle.
+    pub rows: u8,
+}
+
+impl SweepCandidate {
+    /// Address of this candidate's first reference row,
+    /// `reference.addr + dy·stride + dx`, clamped to the address space.
+    fn origin(self, reference: RectSpan) -> u64 {
+        let a = i128::from(reference.addr)
+            + i128::from(self.dx)
+            + i128::from(self.dy) * i128::from(reference.stride);
+        a.clamp(0, i128::from(u64::MAX)) as u64
+    }
+}
+
+/// The reference rows a sweep reads, as displacements: the bounding box
+/// of every candidate that reads at least one row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SweepWindow {
+    /// Smallest `dx` of a reading candidate.
+    pub dx_min: i8,
+    /// Largest `dx` of a reading candidate.
+    pub dx_max: i8,
+    /// First row read, relative to the reference origin.
+    pub top: i32,
+    /// One past the last row read, relative to the reference origin.
+    pub bottom: i32,
+    /// Most rows any candidate read (the block rows the sweep reads).
+    pub max_rows: u8,
+    /// Rows read over all candidates (each reads a block row and a
+    /// reference row).
+    pub total_rows: u64,
+}
+
+impl SweepWindow {
+    /// The window of `cands`, or `None` when no candidate reads a row.
+    pub fn of(cands: &[SweepCandidate]) -> Option<SweepWindow> {
+        let mut w = SweepWindow {
+            dx_min: i8::MAX,
+            dx_max: i8::MIN,
+            top: i32::MAX,
+            bottom: i32::MIN,
+            max_rows: 0,
+            total_rows: 0,
+        };
+        for c in cands.iter().filter(|c| c.rows > 0) {
+            w.dx_min = w.dx_min.min(c.dx);
+            w.dx_max = w.dx_max.max(c.dx);
+            w.top = w.top.min(i32::from(c.dy));
+            w.bottom = w.bottom.max(i32::from(c.dy) + i32::from(c.rows));
+            w.max_rows = w.max_rows.max(c.rows);
+            w.total_rows += u64::from(c.rows);
+        }
+        (w.max_rows > 0).then_some(w)
+    }
+}
+
+/// The defining charge stream of [`MemModel::access_block_sweep`]: for
+/// each candidate in order and each of its rows `r`, block row `r` then
+/// the candidate's reference row `r`, each one
+/// [`MemModel::access_range`] load of `ops_per_row` accesses. Strides
+/// are added with `saturating_add`, as in [`MemModel::access_rect`].
+pub fn block_sweep_by_rows<M: MemModel + ?Sized>(
+    mem: &mut M,
+    block: RectSpan,
+    reference: RectSpan,
+    cands: &[SweepCandidate],
+    ops_per_row: u64,
+) {
+    for &c in cands {
+        let (mut a, mut b) = (block.addr, c.origin(reference));
+        for r in 0..c.rows {
+            mem.access_range(a, block.row_bytes, AccessKind::Load, ops_per_row);
+            mem.access_range(b, reference.row_bytes, AccessKind::Load, ops_per_row);
+            if r + 1 < c.rows {
+                a = a.saturating_add(block.stride);
+                b = b.saturating_add(reference.stride);
+            }
+        }
+    }
 }
 
 /// A sink for the codec's memory-reference stream.
@@ -69,33 +160,24 @@ pub trait MemModel {
         }
     }
 
-    /// Reports two rectangles walked in row lockstep: row `r` of `a`,
-    /// then row `r` of `b`, for `rows` rows. Each row of each side
-    /// charges `ops_per_row` architectural accesses of `kind`.
+    /// Reports the loads of one block search: a fixed `block` compared
+    /// against `cands`, each a displaced copy of the `reference`
+    /// rectangle (see [`SweepCandidate`]). Each row read on either side
+    /// charges `ops_per_row` architectural loads.
     ///
-    /// Defined as exactly that interleaved per-row
-    /// [`MemModel::access_range`] loop (strides added with
-    /// `saturating_add`, as in [`MemModel::access_rect`]);
-    /// implementations may only restructure it in ways that preserve
-    /// every counter bit-for-bit. A SAD candidate charges its current
-    /// and reference rows with one call.
-    fn access_rect_pair(
+    /// Defined as exactly [`block_sweep_by_rows`] (candidate by
+    /// candidate, block row then reference row); implementations may
+    /// only restructure it in ways that preserve every counter
+    /// bit-for-bit. A motion search charges all its integer-pel SAD
+    /// candidates with one call.
+    fn access_block_sweep(
         &mut self,
-        a: RectSpan,
-        b: RectSpan,
-        rows: u64,
-        kind: AccessKind,
+        block: RectSpan,
+        reference: RectSpan,
+        cands: &[SweepCandidate],
         ops_per_row: u64,
     ) {
-        let (mut addr_a, mut addr_b) = (a.addr, b.addr);
-        for r in 0..rows {
-            self.access_range(addr_a, a.row_bytes, kind, ops_per_row);
-            self.access_range(addr_b, b.row_bytes, kind, ops_per_row);
-            if r + 1 < rows {
-                addr_a = addr_a.saturating_add(a.stride);
-                addr_b = addr_b.saturating_add(b.stride);
-            }
-        }
+        block_sweep_by_rows(self, block, reference, cands, ops_per_row);
     }
 
     /// Issues a software prefetch for the line containing `addr`.
@@ -183,6 +265,15 @@ impl MemModel for NullModel {
     ) {
     }
 
+    fn access_block_sweep(
+        &mut self,
+        _block: RectSpan,
+        _reference: RectSpan,
+        _cands: &[SweepCandidate],
+        _ops_per_row: u64,
+    ) {
+    }
+
     fn prefetch(&mut self, _addr: u64) {}
 
     fn add_ops(&mut self, _ops: u64) {}
@@ -214,7 +305,12 @@ mod tests {
             stride: 64,
             row_bytes: 16,
         };
-        m.access_rect_pair(span, span, 16, AccessKind::Load, 16);
+        let cand = SweepCandidate {
+            dx: 1,
+            dy: -1,
+            rows: 16,
+        };
+        m.access_block_sweep(span, span, &[cand], 16);
         m.prefetch(64);
         m.add_ops(1_000_000);
         assert_eq!(*m.counters(), Counters::default());

@@ -7,9 +7,9 @@
 //! valid bit and a recency stamp from a global tick, a probe scans the
 //! whole set (or all TLB entries), and a miss replaces the first
 //! invalid entry, else the one with the oldest stamp. `Hierarchy`
-//! instead keeps each set and the TLB in recency order. Rectangles go
-//! through the default per-row [`MemModel::access_rect`] and
-//! [`MemModel::access_rect_pair`].
+//! instead keeps each set and the TLB in recency order. Rectangles and
+//! block sweeps go through the default per-row [`MemModel::access_rect`]
+//! and [`MemModel::access_block_sweep`].
 //!
 //! It exists as the differential baseline for the fast model: the
 //! `fastpath_equiv` suite drives both models with identical reference
@@ -347,7 +347,7 @@ impl MemModel for NaiveHierarchy {
         }
     }
 
-    // access_rect and access_rect_pair: deliberately the default per-row
+    // access_rect and access_block_sweep: deliberately the default per-row
     // implementations — they *are* the reference semantics the
     // optimized overrides must match.
 

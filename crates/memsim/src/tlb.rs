@@ -89,13 +89,6 @@ impl Tlb {
         found.is_some()
     }
 
-    /// Accounts `n` lookups the owning hierarchy proved to be hits that
-    /// leave the recency order unchanged (see
-    /// `Hierarchy::access_rect_pair`). Only the lookup tally advances.
-    pub(crate) fn filtered_hits(&mut self, n: u64) {
-        self.lookups += n;
-    }
-
     /// Total lookups performed.
     pub fn lookups(&self) -> u64 {
         self.lookups

@@ -5,7 +5,7 @@
 //! machine. The full-size suites live in `crates/memsim/tests/
 //! fastpath_equiv.rs` and `crates/codec/tests/fastpath_encode.rs`.
 
-use m4ps::codec::{EncoderConfig, FrameView, VideoObjectCoder};
+use m4ps::codec::{EncoderConfig, FrameView, SearchStrategy, VideoObjectCoder};
 use m4ps::memsim::{
     AddressSpace, Hierarchy, MachineSpec, MemModel, NaiveHierarchy, ParallelModel, Region,
 };
@@ -49,6 +49,35 @@ fn encode<M: ParallelModel>(
     stream
 }
 
+/// Encodes under both models on `machine` and requires the same
+/// bitstream, every counter, DRAM traffic and region tallies, with every
+/// motion search charged through the line sweep.
+fn assert_fast_equals_naive(machine: &MachineSpec, config: EncoderConfig, what: &str) {
+    let mut fast = Hierarchy::new(machine.clone());
+    let mut naive = NaiveHierarchy::new(machine.clone());
+    let fast_stream = encode(&mut fast, Hierarchy::attach_regions, config);
+    let naive_stream = encode(&mut naive, NaiveHierarchy::attach_regions, config);
+    assert_eq!(fast_stream, naive_stream, "{what}: bitstream");
+    assert_eq!(fast.counters(), naive.counters(), "{what}: counters");
+    assert_eq!(
+        fast.dram().bytes_read(),
+        naive.dram().bytes_read(),
+        "{what}: DRAM reads"
+    );
+    assert_eq!(
+        fast.dram().bytes_written(),
+        naive.dram().bytes_written(),
+        "{what}: DRAM writes"
+    );
+    assert_eq!(
+        fast.region_misses(),
+        naive.region_misses(),
+        "{what}: region tallies"
+    );
+    assert!(fast.counters().loads > 0, "{what}: nothing charged");
+    assert_eq!(fast.sweep_fallbacks(), 0, "{what}: a sweep fell back");
+}
+
 #[test]
 fn paper_config_encode_charges_identically_under_fast_and_naive_models() {
     for machine in MachineSpec::study_machines() {
@@ -57,29 +86,23 @@ fn paper_config_encode_charges_identically_under_fast_and_naive_models() {
                 four_mv,
                 ..EncoderConfig::paper()
             };
-            let mut fast = Hierarchy::new(machine.clone());
-            let mut naive = NaiveHierarchy::new(machine.clone());
-            let fast_stream = encode(&mut fast, Hierarchy::attach_regions, config);
-            let naive_stream = encode(&mut naive, NaiveHierarchy::attach_regions, config);
-            let what = format!("{} (4MV {four_mv})", machine.name);
-            assert_eq!(fast_stream, naive_stream, "{what}: bitstream");
-            assert_eq!(fast.counters(), naive.counters(), "{what}: counters");
-            assert_eq!(
-                fast.dram().bytes_read(),
-                naive.dram().bytes_read(),
-                "{what}: DRAM reads"
+            assert_fast_equals_naive(
+                &machine,
+                config,
+                &format!("{} (4MV {four_mv})", machine.name),
             );
-            assert_eq!(
-                fast.dram().bytes_written(),
-                naive.dram().bytes_written(),
-                "{what}: DRAM writes"
-            );
-            assert_eq!(
-                fast.region_misses(),
-                naive.region_misses(),
-                "{what}: region tallies"
-            );
-            assert!(fast.counters().loads > 0, "{what}: nothing charged");
         }
     }
+}
+
+/// Diamond search with 4MV refinement: short, irregular candidate
+/// lists and the 8×8 refine sweeps.
+#[test]
+fn diamond_4mv_encode_charges_identically_under_fast_and_naive_models() {
+    let config = EncoderConfig {
+        search: SearchStrategy::Diamond,
+        four_mv: true,
+        ..EncoderConfig::paper()
+    };
+    assert_fast_equals_naive(&MachineSpec::o2(), config, "diamond 4MV");
 }

@@ -3,27 +3,27 @@
 //! the paper instruments for its burstiness study).
 
 use crate::encoder::{
-    fill_bbox_ring, fill_grey_mb, predict_mb_4mv, reconstruct_inter_mb, Scheduling, SliceScratch,
-    VopStats, RESYNC_MARKER, SLICE_CHARGE_SPAN,
+    fill_bbox_ring, fill_grey_mb, predict_mb, predict_mb_4mv, reconstruct_inter_mb, Scheduling,
+    VopStats, RESYNC_MARKER,
 };
 use crate::error::CodecError;
 use crate::header::{VolHeader, VopHeader};
-use crate::mbops::{
-    chroma_mv, write_block, write_block_u8, IntraPredState, MvPredictor, StreamCharge,
-};
-use crate::mc::{average_predictions, motion_compensate_block};
+use crate::mbops::{write_block, write_block_u8, IntraPredState, MvPredictor, StreamCharge};
+use crate::mc::average_predictions;
 use crate::plane::{FrameSink, FrameViewMut, TracedFrame, TracedPlane};
 use crate::shape::{classify_bab, decode_alpha_plane, BabClass};
-use crate::slices::partition_rows;
+use crate::slices::{
+    mb_ranges, partition_rows, run_chains, Chain, SliceJob, SliceScratch, SLICE_CHARGE_SPAN,
+};
 use crate::texture::TextureCoder;
 use crate::types::{MacroblockKind, MotionVector, VopKind};
 use crate::vlc::{get_se, get_ue};
 use m4ps_bitstream::{BitReader, BitstreamError, StartCode};
 use m4ps_memsim::{AddressSpace, MemModel, ParallelModel};
 use m4ps_obs::{span, Phase};
-use m4ps_pool::{Scope, WorkerPool};
+use m4ps_pool::WorkerPool;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Largest legal motion-vector component in half-pels: the search range
 /// plus half-pel refinement can never leave the [`crate::PAD`]-pixel
@@ -74,15 +74,11 @@ pub struct DecodedVop {
 #[derive(Debug)]
 pub struct VideoObjectDecoder {
     vol: VolHeader,
-    mb_cols: usize,
-    mb_rows: usize,
     anchors: [TracedFrame; 2],
     latest: usize,
     anchor_count: usize,
     b_recon: TracedFrame,
     alpha: Option<TracedPlane>,
-    texture: TextureCoder,
-    stream_base: u64,
     stream_bits: u64,
     keep_output: bool,
     /// Bounding box of the previous shaped VOP (cleared before each new
@@ -91,6 +87,20 @@ pub struct VideoObjectDecoder {
     /// Accumulated counter deltas over the VOP-decode windows — the
     /// paper's `DecodeVopCombMotionShapeTexture()` instrumentation.
     vop_window: m4ps_memsim::Counters,
+    engine: DecodeEngine,
+}
+
+/// The state every VOP's macroblock layer uses: geometry, the texture
+/// pipeline with its recycled per-slice clones, the stream's simulated
+/// base, and the pool. Kept apart from the frame buffers so one VOP can
+/// borrow its references and target frame from the decoder while the
+/// engine decodes it.
+#[derive(Debug)]
+struct DecodeEngine {
+    mb_cols: usize,
+    mb_rows: usize,
+    texture: TextureCoder,
+    stream_base: u64,
     /// Worker pool for slice-parallel decode. `None` (and a zero
     /// `threads_hint`) keeps the legacy sequential path — parallel
     /// decode is strictly opt-in via [`VideoObjectDecoder::set_pool`] /
@@ -164,24 +174,26 @@ impl VideoObjectDecoder {
         let stream_base = space.alloc(16 * 1024 * 1024);
         space.set_tag("untagged");
         Ok(VideoObjectDecoder {
-            mb_cols: vol.width / 16,
-            mb_rows: vol.height / 16,
             anchors,
             latest: 0,
             anchor_count: 0,
             b_recon,
             alpha,
-            texture,
-            stream_base,
             stream_bits: 0,
             keep_output: false,
             prev_bbox: None,
             vop_window: m4ps_memsim::Counters::new(),
-            pool: None,
-            threads_hint: 0,
-            sched: Scheduling::from_env(),
-            slice_scratch: Vec::new(),
-            parallel_fallbacks: 0,
+            engine: DecodeEngine {
+                mb_cols: vol.width / 16,
+                mb_rows: vol.height / 16,
+                texture,
+                stream_base,
+                pool: None,
+                threads_hint: 0,
+                sched: Scheduling::from_env(),
+                slice_scratch: Vec::new(),
+                parallel_fallbacks: 0,
+            },
             vol,
         })
     }
@@ -192,8 +204,8 @@ impl VideoObjectDecoder {
     /// partition, per-slice forks and charge windows depend only on the
     /// bitstream's slice count, never on which thread runs a slice.
     pub fn set_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.threads_hint = pool.threads();
-        self.pool = Some(pool);
+        self.engine.threads_hint = pool.threads();
+        self.engine.pool = Some(pool);
     }
 
     /// Enables slice-parallel decode on a lazily created `threads`-wide
@@ -201,10 +213,11 @@ impl VideoObjectDecoder {
     /// output is bit-identical across thread counts.
     pub fn set_threads(&mut self, threads: usize) {
         let threads = threads.min(256);
-        self.threads_hint = threads;
-        match (&self.pool, threads) {
-            (Some(_), 0) => self.pool = None,
-            (Some(p), t) if p.threads() != t => self.pool = None,
+        let engine = &mut self.engine;
+        engine.threads_hint = threads;
+        match (&engine.pool, threads) {
+            (Some(_), 0) => engine.pool = None,
+            (Some(p), t) if p.threads() != t => engine.pool = None,
             _ => {}
         }
     }
@@ -212,12 +225,12 @@ impl VideoObjectDecoder {
     /// Selects how a VOP's slice work is decomposed onto the pool (see
     /// [`Scheduling`]). Output is bit-identical across modes.
     pub fn set_scheduling(&mut self, sched: Scheduling) {
-        self.sched = sched;
+        self.engine.sched = sched;
     }
 
     /// The worker thread count slices are decoded on (0 = sequential).
     pub fn threads(&self) -> usize {
-        match (&self.pool, self.threads_hint) {
+        match (&self.engine.pool, self.engine.threads_hint) {
             (Some(p), _) => p.threads(),
             (None, hint) => hint,
         }
@@ -230,16 +243,7 @@ impl VideoObjectDecoder {
     /// re-decode reproduces the sequential decoder's result exactly,
     /// concealment and all.
     pub fn parallel_fallbacks(&self) -> u64 {
-        self.parallel_fallbacks
-    }
-
-    /// The pool to decode this VOP's slices on, creating the lazy pool
-    /// on first use. `None` = sequential decode.
-    fn parallel_pool(&mut self) -> Option<Arc<WorkerPool>> {
-        if self.pool.is_none() && self.threads_hint > 0 {
-            self.pool = Some(Arc::new(WorkerPool::new(self.threads_hint)));
-        }
-        self.pool.clone()
+        self.engine.parallel_fallbacks
     }
 
     /// The VOL header of this layer.
@@ -405,9 +409,11 @@ impl VideoObjectDecoder {
             return Err(CodecError::InvalidStream("B-VOP before two anchors"));
         }
 
-        let mut charge = StreamCharge::reader(self.stream_base + self.stream_bits / 8);
+        let mut charge = StreamCharge::reader(self.engine.stream_base + self.stream_bits / 8);
 
-        // Shape first (DecodeVopCombMotionShapeTexture order).
+        // Shape first (DecodeVopCombMotionShapeTexture order). This also
+        // settles the VOP's geometry: a bounding box lies inside the
+        // frame, and only shaped layers carry one.
         if self.vol.binary_shape {
             let bbox = header.bbox.ok_or(CodecError::InvalidStream(
                 "shaped VOP without a bounding box",
@@ -437,7 +443,10 @@ impl VideoObjectDecoder {
             charge.charge_to(mem, r.bit_pos() - bit_start)
         );
 
-        // Pick references and the reconstruction target.
+        // Pick references and the reconstruction target: an anchor
+        // decodes into the non-latest slot and a P-VOP predicts from the
+        // latest; a B-VOP (or a P-VOP on an external reference) decodes
+        // into the B slot.
         let ext_is_ref = ext.is_some() && header.kind == VopKind::P;
         let into_anchor = header.kind.is_anchor() && !ext_is_ref;
         let new_idx = if self.anchor_count == 0 {
@@ -445,90 +454,33 @@ impl VideoObjectDecoder {
         } else {
             1 - self.latest
         };
-
-        let pool = self.parallel_pool();
-        let sched = self.sched;
-        let stats = if header.kind == VopKind::B {
-            let fwd = &self.anchors[1 - self.latest];
-            let bwd = &self.anchors[self.latest];
-            decode_vop_dispatch(
-                mem,
-                r,
-                header,
-                self.alpha.as_ref(),
-                Some(fwd),
-                Some(bwd),
-                &mut self.b_recon,
-                &mut self.texture,
-                &mut self.slice_scratch,
-                &mut self.parallel_fallbacks,
-                &mut charge,
-                bit_start,
-                self.stream_base,
-                self.mb_cols,
-                self.mb_rows,
-                pool.as_deref(),
-                sched,
-            )?
+        let [a0, a1] = &mut self.anchors;
+        let (target, other) = if new_idx == 0 { (a0, &*a1) } else { (a1, &*a0) };
+        let (recon, fwd, bwd) = if header.kind == VopKind::B {
+            // Forward is the older anchor, backward the latest.
+            (&mut self.b_recon, Some(&*target), Some(other))
         } else if ext_is_ref {
-            decode_vop_dispatch(
-                mem,
-                r,
-                header,
-                self.alpha.as_ref(),
-                ext,
-                None,
-                &mut self.b_recon,
-                &mut self.texture,
-                &mut self.slice_scratch,
-                &mut self.parallel_fallbacks,
-                &mut charge,
-                bit_start,
-                self.stream_base,
-                self.mb_cols,
-                self.mb_rows,
-                pool.as_deref(),
-                sched,
-            )?
+            (&mut self.b_recon, ext, None)
         } else {
-            // Anchor decode: target is the non-latest slot; a P-VOP
-            // references the latest slot.
-            let is_p = header.kind == VopKind::P;
-            let (left, right) = self.anchors.split_at_mut(1);
-            let (recon, fwd): (&mut TracedFrame, Option<&TracedFrame>) = if new_idx == 0 {
-                (&mut left[0], is_p.then_some(&right[0] as &TracedFrame))
-            } else {
-                (&mut right[0], is_p.then_some(&left[0] as &TracedFrame))
-            };
-            decode_vop_dispatch(
-                mem,
-                r,
-                header,
-                self.alpha.as_ref(),
-                fwd,
-                None,
-                recon,
-                &mut self.texture,
-                &mut self.slice_scratch,
-                &mut self.parallel_fallbacks,
-                &mut charge,
-                bit_start,
-                self.stream_base,
-                self.mb_cols,
-                self.mb_rows,
-                pool.as_deref(),
-                sched,
-            )?
+            (target, (header.kind == VopKind::P).then_some(other), None)
         };
+        let (mbx_range, mby_range) =
+            mb_ranges(header.bbox, self.engine.mb_cols, self.engine.mb_rows);
+        let ctx = DecodeCtx {
+            hdr: header,
+            alpha: self.alpha.as_ref(),
+            fwd,
+            bwd,
+            slice_rows: partition_rows(mby_range.clone(), header.slices),
+            mbx_range,
+            mby_range,
+            bit_start,
+        };
+        let stats = self.engine.decode(mem, r, &ctx, recon, &mut charge)?;
 
         if into_anchor {
             if !self.vol.binary_shape {
-                let recon = if new_idx == 0 {
-                    &mut self.anchors[0]
-                } else {
-                    &mut self.anchors[1]
-                };
-                recon.pad_borders(mem);
+                self.anchors[new_idx].pad_borders(mem);
             }
             self.latest = new_idx;
             self.anchor_count = (self.anchor_count + 1).min(2);
@@ -538,232 +490,174 @@ impl VideoObjectDecoder {
     }
 }
 
-/// Outcome of a parallel decode attempt.
-enum ParallelOutcome {
-    /// The VOP is not eligible (single slice, or a geometry error the
-    /// sequential path will report) — decode sequentially, this was
-    /// not a fallback.
-    NotSliced,
-    /// The attempt was abandoned (pre-scan miss, slice task error, or
-    /// slice boundary mismatch). The parent model and reader are
-    /// untouched; re-decode sequentially and count a fallback.
-    Fallback,
-    /// Parallel decode succeeded; the reader sits after the last
-    /// macroblock, exactly where the sequential decoder would leave it.
-    Done(VopStats),
+/// Read-shared context for decoding one VOP's macroblock layer.
+struct DecodeCtx<'a> {
+    hdr: &'a VopHeader,
+    alpha: Option<&'a TracedPlane>,
+    fwd: Option<&'a TracedFrame>,
+    bwd: Option<&'a TracedFrame>,
+    /// The VOP's slice partition of `mby_range`.
+    slice_rows: Vec<Range<usize>>,
+    mbx_range: Range<usize>,
+    mby_range: Range<usize>,
+    /// Absolute bit position just past the VOP header: the origin of
+    /// the VOP's own stream-charge window.
+    bit_start: u64,
 }
 
-/// Routes one VOP's macroblock layer to the slice-parallel path when a
-/// pool is attached and the VOP is multi-slice, falling back to the
-/// sequential decoder otherwise — or whenever the parallel attempt
-/// aborts. The fallback re-decode starts from a saved reader clone and
-/// overwrites every in-bbox macroblock, so its public result (including
-/// concealment) is exactly the sequential decoder's on every input.
-#[allow(clippy::too_many_arguments)]
-fn decode_vop_dispatch<M: ParallelModel>(
-    mem: &mut M,
-    r: &mut BitReader<'_>,
-    header: &VopHeader,
-    alpha: Option<&TracedPlane>,
-    fwd: Option<&TracedFrame>,
-    bwd: Option<&TracedFrame>,
-    recon: &mut TracedFrame,
-    texture: &mut TextureCoder,
-    scratch: &mut Vec<SliceScratch>,
-    fallbacks: &mut u64,
-    charge: &mut StreamCharge,
-    bit_start: u64,
-    stream_base: u64,
-    mb_cols: usize,
-    mb_rows: usize,
-    pool: Option<&WorkerPool>,
-    sched: Scheduling,
-) -> Result<VopStats, CodecError> {
-    if let Some(pool) = pool {
-        let saved = r.clone();
-        match decode_vop_parallel(
-            mem,
-            r,
-            header,
-            alpha,
-            fwd,
-            bwd,
-            recon,
-            texture,
-            scratch,
-            charge,
-            bit_start,
-            stream_base,
-            mb_cols,
-            mb_rows,
-            pool,
-            sched,
-        ) {
-            ParallelOutcome::Done(stats) => return Ok(stats),
-            ParallelOutcome::Fallback => {
-                *fallbacks += 1;
+impl DecodeEngine {
+    /// The pool to decode this VOP's slices on, creating the lazy pool
+    /// on first use. `None` = sequential decode.
+    fn parallel_pool(&mut self) -> Option<Arc<WorkerPool>> {
+        if self.pool.is_none() && self.threads_hint > 0 {
+            self.pool = Some(Arc::new(WorkerPool::new(self.threads_hint)));
+        }
+        self.pool.clone()
+    }
+
+    /// Decodes one VOP's macroblock layer into `recon`: slice-parallel
+    /// when a pool is attached and the VOP is multi-slice, sequential
+    /// otherwise — or whenever the parallel attempt aborts. The
+    /// fallback re-decode starts from a saved reader clone and
+    /// overwrites every in-bbox macroblock, so its public result
+    /// (including concealment) is exactly the sequential decoder's on
+    /// every input.
+    fn decode<M: ParallelModel>(
+        &mut self,
+        mem: &mut M,
+        r: &mut BitReader<'_>,
+        ctx: &DecodeCtx<'_>,
+        recon: &mut TracedFrame,
+        charge: &mut StreamCharge,
+    ) -> Result<VopStats, CodecError> {
+        if let Some(pool) = self.parallel_pool() {
+            if ctx.slice_rows.len() > 1 {
+                let saved = r.clone();
+                if let Some(stats) = self.decode_parallel(mem, r, ctx, recon, charge, &pool) {
+                    return Ok(stats);
+                }
+                self.parallel_fallbacks += 1;
                 *r = saved;
             }
-            ParallelOutcome::NotSliced => *r = saved,
         }
-    }
-    decode_vop_body(
-        mem, r, header, alpha, fwd, bwd, recon, texture, charge, bit_start, mb_cols, mb_rows,
-    )
-}
-
-/// Decodes a multi-slice VOP's macroblock layer on the pool: a cheap
-/// untraced pre-scan locates every slice header (byte-aligned resync
-/// marker carrying the slice's first macroblock index), then each slice
-/// decodes as an independent task chain — cloned reader positioned at
-/// its slice start, forked memory model, recycled [`SliceScratch`],
-/// disjoint reconstruction row band, and a per-slice-index charge
-/// window at `stream_base + (s+1) * SLICE_CHARGE_SPAN` — the exact
-/// construction the parallel encoder uses, so reconstruction and
-/// merged counters are bit-identical at any thread count.
-///
-/// The parallel path performs **no concealment**: any anomaly — a
-/// slice header the pre-scan cannot locate, a slice task error (or
-/// panic, caught at the task boundary), or a slice whose aligned end
-/// does not meet the next slice's start — abandons the whole attempt
-/// without absorbing any fork, and the caller re-decodes the VOP
-/// sequentially. Each of those triggers is a pure function of the
-/// bitstream, so the decision is identical at every thread count.
-#[allow(clippy::too_many_arguments)]
-fn decode_vop_parallel<M: ParallelModel>(
-    mem: &mut M,
-    r: &mut BitReader<'_>,
-    header: &VopHeader,
-    alpha: Option<&TracedPlane>,
-    fwd: Option<&TracedFrame>,
-    bwd: Option<&TracedFrame>,
-    recon: &mut TracedFrame,
-    texture: &TextureCoder,
-    scratch: &mut Vec<SliceScratch>,
-    charge: &mut StreamCharge,
-    bit_start: u64,
-    stream_base: u64,
-    mb_cols: usize,
-    mb_rows: usize,
-    pool: &WorkerPool,
-    sched: Scheduling,
-) -> ParallelOutcome {
-    let (mbx_range, mby_range) = match header.bbox {
-        Some((x0, y0, bw, bh)) => {
-            if x0 + bw > mb_cols * 16 || y0 + bh > mb_rows * 16 {
-                return ParallelOutcome::NotSliced;
-            }
-            (x0 / 16..(x0 + bw) / 16, y0 / 16..(y0 + bh) / 16)
-        }
-        None => (0..mb_cols, 0..mb_rows),
-    };
-    let slice_rows = partition_rows(mby_range.clone(), header.slices);
-    if slice_rows.len() < 2 {
-        return ParallelOutcome::NotSliced;
+        decode_vop_body(mem, r, ctx, recon, &mut self.texture, charge)
     }
 
-    // Commit: consume the header segment's stuffing (slice 0 starts
-    // byte-aligned) and charge it in the parent window — the decode
-    // mirror of the encoder charging its aligned header segment.
-    r.skip_stuffing();
-    span!(
-        mem,
-        Phase::Parse,
-        charge.charge_to(mem, r.bit_pos() - bit_start)
-    );
+    /// Decodes a multi-slice VOP's macroblock layer on the pool: a cheap
+    /// untraced pre-scan locates every slice header (byte-aligned resync
+    /// marker carrying the slice's first macroblock index), then each
+    /// slice decodes as a chain of row tasks — cloned reader positioned
+    /// at its slice start, forked memory model, recycled
+    /// [`SliceScratch`], disjoint reconstruction row band, and a
+    /// per-slice-index charge window at
+    /// `stream_base + (s+1) * SLICE_CHARGE_SPAN` — the exact construction
+    /// the parallel encoder uses, so reconstruction and merged counters
+    /// are bit-identical at any thread count.
+    ///
+    /// The parallel path performs **no concealment**: any anomaly — a
+    /// slice header the pre-scan cannot locate, a slice task error (or
+    /// panic, caught at the task boundary), or a slice whose aligned end
+    /// does not meet the next slice's start — abandons the whole attempt
+    /// without absorbing any fork and returns `None`; the caller then
+    /// re-decodes the VOP sequentially. Each of those triggers is a pure
+    /// function of the bitstream, so the decision is identical at every
+    /// thread count.
+    fn decode_parallel<M: ParallelModel>(
+        &mut self,
+        mem: &mut M,
+        r: &mut BitReader<'_>,
+        ctx: &DecodeCtx<'_>,
+        recon: &mut TracedFrame,
+        charge: &mut StreamCharge,
+        pool: &WorkerPool,
+    ) -> Option<VopStats> {
+        // Commit: consume the header segment's stuffing (slice 0 starts
+        // byte-aligned) and charge it in the parent window — the decode
+        // mirror of the encoder charging its aligned header segment.
+        r.skip_stuffing();
+        span!(
+            mem,
+            Phase::Parse,
+            charge.charge_to(mem, r.bit_pos() - ctx.bit_start)
+        );
+        let starts = prescan_slice_starts(r, ctx)?;
 
-    let Some(starts) = prescan_slice_starts(r, &slice_rows, mbx_range.len(), mby_range.start)
-    else {
-        return ParallelOutcome::Fallback;
-    };
+        SliceScratch::reserve(
+            &mut self.slice_scratch,
+            ctx.slice_rows.len(),
+            &self.texture,
+            self.mb_cols,
+        );
+        let views = recon.split_mb_rows_mut(&ctx.slice_rows);
+        let chains: Vec<_> = ctx
+            .slice_rows
+            .iter()
+            .zip(views)
+            .zip(self.slice_scratch.iter_mut())
+            .enumerate()
+            .map(|(s, ((rows, view), scratch))| {
+                let first_mb = (rows.start - ctx.mby_range.start) * ctx.mbx_range.len();
+                let mut sr = r.clone();
+                sr.seek_to(starts[s]);
+                let job = DecodeSlice {
+                    r: sr,
+                    view,
+                    scratch,
+                    charge: StreamCharge::reader(
+                        self.stream_base + (s as u64 + 1) * SLICE_CHARGE_SPAN,
+                    ),
+                    stats: VopStats::default(),
+                    slice_index: s,
+                    slice_start: starts[s],
+                    first_mb,
+                    mb_counter: first_mb,
+                };
+                Chain::new(mem.fork(), job, rows.clone())
+            })
+            .collect();
+        let results = run_chains(pool, Phase::DecodeSlice, self.sched.grain(), ctx, chains);
 
-    while scratch.len() < slice_rows.len() {
-        scratch.push(SliceScratch::new(texture, mb_cols));
-    }
-
-    let ctx = DecodeCtx {
-        hdr: header,
-        alpha,
-        fwd,
-        bwd,
-        mbx_range: mbx_range.clone(),
-        n_slices: slice_rows.len(),
-    };
-    let grain = sched.grain();
-    let views = recon.split_mb_rows_mut(&slice_rows);
-    let chains: Vec<DecodeChain<'_, M>> = slice_rows
-        .iter()
-        .cloned()
-        .zip(views)
-        .zip(scratch.iter_mut())
-        .enumerate()
-        .map(|(s, ((rows, view), sc))| {
-            let first_mb = (rows.start - mby_range.start) * ctx.mbx_range.len();
-            let mut sr = r.clone();
-            sr.seek_to(starts[s]);
-            DecodeChain {
-                smem: mem.fork(),
-                r: sr,
-                view,
-                scratch: sc,
-                charge: StreamCharge::reader(stream_base + (s as u64 + 1) * SLICE_CHARGE_SPAN),
-                stats: VopStats::default(),
-                slice_index: s,
-                slice_start: starts[s],
-                next_row: rows.start,
-                first_mb,
-                mb_counter: first_mb,
-                rows,
-                grain,
-            }
-        })
-        .collect();
-
-    let slots = run_decode_chains(pool, &ctx, chains);
-
-    let mut outs = Vec::with_capacity(slots.len());
-    for slot in slots {
-        match slot
-            .into_inner()
-            .expect("decode slot lock")
-            .expect("scope waits for every slice chain")
+        // A corrupt slice surfaces as a clean per-slice error (a panic
+        // as a caught payload); the other slices completed
+        // independently. Drop every fork unabsorbed and let the
+        // sequential re-decode conceal.
+        let outs: Vec<_> = results
+            .into_iter()
+            .map(|result| result.ok()?.ok())
+            .collect::<Option<_>>()?;
+        // Every slice must end, after consuming its alignment stuffing,
+        // exactly at the next slice's header. By induction this proves
+        // each task consumed precisely the bits the sequential decoder
+        // would.
+        if outs
+            .iter()
+            .zip(&starts[1..])
+            .any(|(((_, _, aligned), _), &next)| *aligned != next)
         {
-            Ok(out) => outs.push(out),
-            // A corrupt slice surfaces as a clean per-slice error; the
-            // other slices completed independently. Drop every fork
-            // unabsorbed and let the sequential re-decode conceal.
-            Err(_) => return ParallelOutcome::Fallback,
+            return None;
         }
-    }
-    // Every slice must end, after consuming its alignment stuffing,
-    // exactly at the next slice's header. By induction this proves each
-    // task consumed precisely the bits the sequential decoder would.
-    for s in 0..outs.len() - 1 {
-        if outs[s].2 != starts[s + 1] {
-            return ParallelOutcome::Fallback;
+
+        let end_pos = outs.last().expect("at least two slices").0 .1;
+        let mut stats = VopStats::default();
+        for ((sstats, _, _), smem) in outs {
+            let child_total = *smem.counters();
+            mem.absorb(smem);
+            // Keep the caller's open phase from double-counting the jump
+            // `absorb` just folded in (the slices' own domain spans carry
+            // those counters, phase by phase).
+            m4ps_obs::absorbed(&child_total);
+            stats.merge(&sstats);
         }
-    }
+        // Leave the reader after the last macroblock — exactly where the
+        // sequential decoder stops (the next startcode scan handles the
+        // final stuffing).
+        r.seek_to(end_pos);
 
-    let end_pos = outs.last().expect("at least two slices").1;
-    let mut stats = VopStats::default();
-    for (sstats, _end, _aligned, smem) in outs {
-        let child_total = *smem.counters();
-        mem.absorb(smem);
-        // Keep the caller's open phase from double-counting the jump
-        // `absorb` just folded in (the slices' own domain spans carry
-        // those counters, phase by phase).
-        m4ps_obs::absorbed(&child_total);
-        stats.merge(&sstats);
+        if let Some(bbox) = ctx.hdr.bbox {
+            fill_bbox_ring(mem, recon, bbox, self.mb_cols, self.mb_rows);
+        }
+        Some(stats)
     }
-    // Leave the reader after the last macroblock — exactly where the
-    // sequential decoder stops (the next startcode scan handles the
-    // final stuffing).
-    r.seek_to(end_pos);
-
-    if let Some(bbox) = header.bbox {
-        fill_bbox_ring(mem, recon, bbox, mb_cols, mb_rows);
-    }
-    ParallelOutcome::Done(stats)
 }
 
 /// Locates every slice's byte-aligned start: slice 0 begins at the
@@ -777,29 +671,17 @@ fn decode_vop_parallel<M: ParallelModel>(
 /// like the encoder's slice partition it is scheduling metadata, not
 /// modelled codec traffic (the slice tasks charge every stream byte
 /// through their own windows).
-fn prescan_slice_starts(
-    r: &BitReader<'_>,
-    slice_rows: &[Range<usize>],
-    mbx_len: usize,
-    mby_start: usize,
-) -> Option<Vec<u64>> {
-    let mut starts = Vec::with_capacity(slice_rows.len());
+fn prescan_slice_starts(r: &BitReader<'_>, ctx: &DecodeCtx<'_>) -> Option<Vec<u64>> {
+    let mut starts = Vec::with_capacity(ctx.slice_rows.len());
     starts.push(r.bit_pos());
     let mut probe = r.clone();
-    for rows in &slice_rows[1..] {
-        let expected = (rows.start - mby_start) * mbx_len;
+    for rows in &ctx.slice_rows[1..] {
+        let expected = (rows.start - ctx.mby_range.start) * ctx.mbx_range.len();
         loop {
             if !probe.scan_aligned_u16(RESYNC_MARKER) {
                 return None;
             }
-            let mut fields = probe.clone();
-            let matches = (|| -> Result<bool, CodecError> {
-                let idx = get_ue(&mut fields)? as usize;
-                let _qp = fields.get_bits(5)?;
-                Ok(idx == expected)
-            })()
-            .unwrap_or(false);
-            if matches {
+            if matches!(read_marker_fields(&mut probe.clone()), Ok(idx) if idx == expected) {
                 starts.push(probe.bit_pos() - 16);
                 break;
             }
@@ -810,24 +692,28 @@ fn prescan_slice_starts(
     Some(starts)
 }
 
-/// Read-shared context for one VOP's decode slice tasks.
-struct DecodeCtx<'a> {
-    hdr: &'a VopHeader,
-    alpha: Option<&'a TracedPlane>,
-    fwd: Option<&'a TracedFrame>,
-    bwd: Option<&'a TracedFrame>,
-    mbx_range: Range<usize>,
-    n_slices: usize,
+/// Reads the fields that follow a resync word — the macroblock index
+/// and the quantizer (which the decoder does not use) — and returns the
+/// index.
+fn read_marker_fields(r: &mut BitReader<'_>) -> Result<usize, CodecError> {
+    let idx = get_ue(r)? as usize;
+    let _qp = r.get_bits(5)?;
+    Ok(idx)
 }
 
-/// Everything a decode slice's row chain carries from one task to the
-/// next: the forked counter stream, the slice's reader clone and charge
-/// window, its reconstruction band and recycled scratch, and the row
-/// cursor. Moving the whole state along the chain pins determinism —
-/// each fork sees exactly the access sequence the coarse slice job
-/// produces, just cut into one task per `grain` rows.
-struct DecodeChain<'a, M> {
-    smem: M,
+/// Reads a whole marker — the 16-bit word and its fields — and returns
+/// the macroblock index it carries, or `None` when the word is not a
+/// resync marker.
+fn read_marker(r: &mut BitReader<'_>) -> Result<Option<usize>, CodecError> {
+    let word = r.get_bits(16)?;
+    let idx = read_marker_fields(r)?;
+    Ok((word == u32::from(RESYNC_MARKER)).then_some(idx))
+}
+
+/// One slice's decode state, carried from row task to row task: its
+/// reader clone and charge window, its reconstruction band and recycled
+/// scratch, tallies, and the macroblock counter.
+struct DecodeSlice<'a> {
     r: BitReader<'a>,
     view: FrameViewMut<'a>,
     scratch: &'a mut SliceScratch,
@@ -838,305 +724,292 @@ struct DecodeChain<'a, M> {
     /// marker for `slice_index > 0`); per-macroblock charges are
     /// relative to it.
     slice_start: u64,
-    rows: Range<usize>,
-    next_row: usize,
     first_mb: usize,
     mb_counter: usize,
-    grain: usize,
 }
 
-/// A finished decode slice: stats, reader end position (after the last
-/// macroblock), aligned end position (after stuffing — must meet the
-/// next slice's start), and the forked model to absorb.
-type DecodeSliceOut<M> = (VopStats, u64, u64, M);
+impl<'a, M: MemModel> SliceJob<M> for DecodeSlice<'a> {
+    type Ctx = DecodeCtx<'a>;
+    /// Stats, the reader position after the last macroblock, and the
+    /// aligned position after the slice's stuffing (which must meet
+    /// the next slice's start).
+    type Out = (VopStats, u64, u64);
+    type Error = CodecError;
 
-/// One slice's result slot: filled exactly once by its chain's final
-/// task, drained by the coordinator in slice order.
-type DecodeSlot<M> = Mutex<Option<Result<DecodeSliceOut<M>, CodecError>>>;
-
-/// Spawns every chain's first task into one pool scope and returns the
-/// per-slice result slots (in slice order) once all chains finished.
-fn run_decode_chains<'a, M: ParallelModel + 'a>(
-    pool: &WorkerPool,
-    ctx: &DecodeCtx<'a>,
-    mut chains: Vec<DecodeChain<'a, M>>,
-) -> Vec<DecodeSlot<M>> {
-    let slots: Vec<DecodeSlot<M>> = chains.iter().map(|_| Mutex::new(None)).collect();
-    let session = m4ps_obs::current();
-    pool.scope(session.as_ref(), |scope| {
-        for (chain, slot) in chains.drain(..).zip(slots.iter()) {
-            scope.spawn(move |s| decode_chain_step(chain, ctx, slot, s));
+    /// Validates the slice header (the resync word, the index of the
+    /// slice's first macroblock, and the quantizer, whose value the
+    /// sequential decoder also ignores) and resets prediction.
+    fn begin(&mut self, _ctx: &DecodeCtx<'a>) -> Result<(), CodecError> {
+        if self.slice_index > 0 && read_marker(&mut self.r)? != Some(self.first_mb) {
+            return Err(CodecError::InvalidStream("slice header mismatch"));
         }
-    });
-    slots
-}
-
-/// One task of a decode slice's row chain: validates the slice header
-/// on the first task, decodes up to `grain` macroblock rows, then
-/// either spawns the continuation or finalizes the slice into its
-/// result slot. A panic anywhere in the slice body is caught at this
-/// task boundary and surfaces as a clean per-slice error — the pool is
-/// never poisoned and the other slices still decode.
-fn decode_chain_step<'s, M: ParallelModel + 's>(
-    mut st: DecodeChain<'s, M>,
-    ctx: &'s DecodeCtx<'s>,
-    slot: &'s DecodeSlot<M>,
-    scope: &Scope<'s>,
-) {
-    // A *domain* span: this task charges the forked stream `st.smem`,
-    // not the caller's model (the coordinator accounts for the fork via
-    // `absorbed`). Spans are per task, so each worker's span stack
-    // stays balanced; the per-pair deltas sum to the fork total.
-    let obs_on = m4ps_obs::enabled();
-    if obs_on {
-        m4ps_obs::enter_domain(Phase::DecodeSlice, *st.smem.counters());
+        // Recycled predictors start from reset — the same state a fresh
+        // `MvPredictor::new` carries.
+        self.scratch.fwd_pred.reset();
+        self.scratch.bwd_pred.reset();
+        Ok(())
     }
-    let body = |st: &mut DecodeChain<'s, M>| -> Result<(), CodecError> {
-        if st.next_row == st.rows.start {
-            if st.slice_index > 0 {
-                // Slice header: the resync word, the index of the
-                // slice's first macroblock, and the quantizer (whose
-                // value the sequential decoder also ignores).
-                let m = st.r.get_bits(16)?;
-                let idx = get_ue(&mut st.r)? as usize;
-                let _qp = st.r.get_bits(5)?;
-                if m != u32::from(RESYNC_MARKER) || idx != st.first_mb {
-                    return Err(CodecError::InvalidStream("slice header mismatch"));
+
+    /// Decodes one macroblock row on the clean path only: any marker
+    /// mismatch or macroblock error aborts the slice (no concealment —
+    /// the coordinator falls back to the sequential decoder, which owns
+    /// the error-resilience state machine).
+    fn row(&mut self, mem: &mut M, ctx: &DecodeCtx<'a>, mby: usize) -> Result<(), CodecError> {
+        let DecodeSlice {
+            r,
+            view,
+            scratch,
+            charge,
+            stats,
+            slice_start,
+            first_mb,
+            mb_counter,
+            ..
+        } = self;
+        let mut st = MbState::new(
+            &mut scratch.texture,
+            &mut scratch.fwd_pred,
+            &mut scratch.bwd_pred,
+            stats,
+        );
+        st.start_row();
+        for mbx in ctx.mbx_range.clone() {
+            if let Some(interval) = ctx.hdr.resync_interval {
+                if *mb_counter > *first_mb && mb_counter.is_multiple_of(interval) {
+                    // Clean path: the expected marker, or abort.
+                    r.skip_stuffing();
+                    if read_marker(r)? != Some(*mb_counter) {
+                        return Err(CodecError::InvalidStream("resync marker mismatch"));
+                    }
+                    st.reset();
                 }
             }
-            // Recycled predictors start from reset — the same state a
-            // fresh `MvPredictor::new` carries.
-            st.scratch.fwd_pred.reset();
-            st.scratch.bwd_pred.reset();
-        }
-        let stop = st.next_row.saturating_add(st.grain).min(st.rows.end);
-        while st.next_row < stop {
-            decode_slice_row(st, ctx)?;
-            st.next_row += 1;
+            *mb_counter += 1;
+            if decode_mb(mem, r, ctx, view, &mut st, (mbx, mby), false)? {
+                span!(
+                    mem,
+                    Phase::Parse,
+                    charge.charge_to(mem, r.bit_pos() - *slice_start)
+                );
+            }
         }
         Ok(())
-    };
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut st)))
-        .unwrap_or(Err(CodecError::InvalidStream(
-            "panic during parallel slice decode",
-        )));
-    match result {
-        Err(e) => {
-            if obs_on {
-                m4ps_obs::exit_domain(Phase::DecodeSlice, *st.smem.counters());
-            }
-            *slot.lock().expect("decode slot lock") = Some(Err(e));
-        }
-        Ok(()) if st.next_row < st.rows.end => {
-            if obs_on {
-                m4ps_obs::exit_domain(Phase::DecodeSlice, *st.smem.counters());
-            }
-            scope.spawn(move |s| decode_chain_step(st, ctx, slot, s));
-        }
-        Ok(()) => {
-            let end_pos = st.r.bit_pos();
-            st.r.skip_stuffing();
-            let aligned = st.r.bit_pos();
-            // Charge the slice's trailing stuffing — sequentially those
-            // bytes are swept up by the successor slice's first
-            // macroblock charge. The LAST slice's stuffing is the one
-            // tail the sequential decoder never touches (it stops right
-            // after the final macroblock), so stop there too.
-            let charge_end = if st.slice_index + 1 == ctx.n_slices {
-                end_pos
-            } else {
-                aligned
-            };
-            st.charge
-                .charge_to(&mut st.smem, charge_end - st.slice_start);
-            if obs_on {
-                m4ps_obs::exit_domain(Phase::DecodeSlice, *st.smem.counters());
-            }
-            *slot.lock().expect("decode slot lock") =
-                Some(Ok((st.stats, end_pos, aligned, st.smem)));
-        }
     }
-}
 
-/// Decodes one macroblock row of a slice on the clean path only: any
-/// marker mismatch or macroblock error aborts the slice (no
-/// concealment — the coordinator falls back to the sequential decoder,
-/// which owns the error-resilience state machine).
-fn decode_slice_row<M: ParallelModel>(
-    st: &mut DecodeChain<'_, M>,
-    ctx: &DecodeCtx<'_>,
-) -> Result<(), CodecError> {
-    let header = ctx.hdr;
-    let qp = header.qp;
-    let mby = st.next_row;
-    let mem = &mut st.smem;
-    let recon = &mut st.view;
-    st.scratch.fwd_pred.start_row();
-    st.scratch.bwd_pred.start_row();
-    let mut ips = IntraPredState::reset();
-    for mbx in ctx.mbx_range.clone() {
-        if let Some(interval) = header.resync_interval {
-            if st.mb_counter > st.first_mb && st.mb_counter.is_multiple_of(interval) {
-                // Clean path: the expected marker, or abort.
-                st.r.skip_stuffing();
-                let m = st.r.get_bits(16)?;
-                let idx = get_ue(&mut st.r)? as usize;
-                let _qp = st.r.get_bits(5)?;
-                if m != u32::from(RESYNC_MARKER) || idx != st.mb_counter {
-                    return Err(CodecError::InvalidStream("resync marker mismatch"));
-                }
-                st.scratch.fwd_pred.reset();
-                st.scratch.bwd_pred.reset();
-                ips = IntraPredState::reset();
-            }
-        }
-        st.mb_counter += 1;
-
-        let transparent = match ctx.alpha {
-            Some(a) => span!(
-                mem,
-                Phase::Shape,
-                classify_bab(mem, a, mbx, mby) == BabClass::Transparent
-            ),
-            None => false,
+    /// Charges the slice's trailing stuffing — sequentially those bytes
+    /// are swept up by the successor slice's first macroblock charge.
+    /// The LAST slice's stuffing is the one tail the sequential decoder
+    /// never touches (it stops right after the final macroblock), so
+    /// stop there too.
+    fn finish(mut self, mem: &mut M, ctx: &DecodeCtx<'a>) -> (VopStats, u64, u64) {
+        let end_pos = self.r.bit_pos();
+        self.r.skip_stuffing();
+        let aligned = self.r.bit_pos();
+        let charge_end = if self.slice_index + 1 == ctx.slice_rows.len() {
+            end_pos
+        } else {
+            aligned
         };
-        if transparent {
-            st.stats.transparent_mbs += 1;
-            fill_grey_mb(mem, recon, mbx, mby);
-            st.scratch.fwd_pred.commit(mbx, MotionVector::ZERO);
-            st.scratch.bwd_pred.commit(mbx, MotionVector::ZERO);
-            ips = IntraPredState::reset();
-            continue;
-        }
-        st.scratch.texture.charge_mb_overhead(mem);
-
-        match header.kind {
-            VopKind::I => {
-                decode_intra_mb(
-                    mem,
-                    &mut st.r,
-                    recon,
-                    &mut st.scratch.texture,
-                    qp,
-                    mbx,
-                    mby,
-                    &mut ips,
-                )?;
-                st.stats.intra_mbs += 1;
-                st.scratch.fwd_pred.commit(mbx, MotionVector::ZERO);
-            }
-            VopKind::P => {
-                let reference = ctx
-                    .fwd
-                    .ok_or(CodecError::InvalidStream("P-VOP without reference"))?;
-                decode_p_mb(
-                    mem,
-                    &mut st.r,
-                    reference,
-                    recon,
-                    &mut st.scratch.texture,
-                    qp,
-                    mbx,
-                    mby,
-                    &mut ips,
-                    &mut st.scratch.fwd_pred,
-                    &mut st.stats,
-                )?;
-            }
-            VopKind::B => {
-                let f = ctx
-                    .fwd
-                    .ok_or(CodecError::InvalidStream("B-VOP without fwd ref"))?;
-                let b = ctx
-                    .bwd
-                    .ok_or(CodecError::InvalidStream("B-VOP without bwd ref"))?;
-                decode_b_mb(
-                    mem,
-                    &mut st.r,
-                    f,
-                    b,
-                    recon,
-                    &mut st.scratch.texture,
-                    qp,
-                    mbx,
-                    mby,
-                    &mut st.scratch.fwd_pred,
-                    &mut st.scratch.bwd_pred,
-                    &mut st.stats,
-                )?;
-                ips = IntraPredState::reset();
-            }
-        }
-        span!(
-            mem,
-            Phase::Parse,
-            st.charge.charge_to(mem, st.r.bit_pos() - st.slice_start)
-        );
+        self.charge.charge_to(mem, charge_end - self.slice_start);
+        (self.stats, end_pos, aligned)
     }
-    Ok(())
 }
 
-/// Decodes the macroblock layer of one VOP (after shape).
-#[allow(clippy::too_many_arguments)]
+/// The macroblock-level state a decode loop threads through its rows:
+/// the texture pipeline, both MV predictors, the intra DC predictors
+/// and the VOP's (or slice's) tallies.
+struct MbState<'s> {
+    texture: &'s mut TextureCoder,
+    fwd_pred: &'s mut MvPredictor,
+    bwd_pred: &'s mut MvPredictor,
+    ips: IntraPredState,
+    stats: &'s mut VopStats,
+}
+
+impl<'s> MbState<'s> {
+    fn new(
+        texture: &'s mut TextureCoder,
+        fwd_pred: &'s mut MvPredictor,
+        bwd_pred: &'s mut MvPredictor,
+        stats: &'s mut VopStats,
+    ) -> Self {
+        MbState {
+            texture,
+            fwd_pred,
+            bwd_pred,
+            ips: IntraPredState::reset(),
+            stats,
+        }
+    }
+
+    /// Starts a macroblock row: intra DC prediction never crosses one.
+    fn start_row(&mut self) {
+        self.fwd_pred.start_row();
+        self.bwd_pred.start_row();
+        self.ips = IntraPredState::reset();
+    }
+
+    /// Resets all prediction (at a slice start or resync marker).
+    fn reset(&mut self) {
+        self.fwd_pred.reset();
+        self.bwd_pred.reset();
+        self.ips = IntraPredState::reset();
+    }
+
+    /// Records a macroblock that carries no prediction (transparent or
+    /// concealed).
+    fn clear_mb(&mut self, mbx: usize) {
+        self.fwd_pred.commit(mbx, MotionVector::ZERO);
+        self.bwd_pred.commit(mbx, MotionVector::ZERO);
+        self.ips = IntraPredState::reset();
+    }
+
+    /// Conceals one macroblock: zero-motion copy from the forward
+    /// reference when one exists, mid-grey otherwise.
+    fn conceal<M: MemModel, F: FrameSink>(
+        &mut self,
+        mem: &mut M,
+        fwd: Option<&TracedFrame>,
+        recon: &mut F,
+        (mbx, mby): (usize, usize),
+    ) {
+        match fwd {
+            Some(reference) => {
+                let (py, pu, pv) =
+                    predict_mb(mem, reference, self.texture, MotionVector::ZERO, mbx, mby);
+                store_prediction(mem, recon, self.texture, &py, &pu, &pv, mbx, mby);
+            }
+            None => fill_grey_mb(mem, recon, mbx, mby),
+        }
+        self.stats.concealed_mbs += 1;
+        self.clear_mb(mbx);
+    }
+}
+
+/// Decodes one macroblock for both decode loops: the transparency
+/// check, the per-macroblock overhead charge, then concealment (when
+/// `conceal` is set) or the I/P/B dispatch. Returns whether the
+/// macroblock parsed any bits — transparent and concealed macroblocks
+/// parse none, so the caller charges no stream bytes for them.
+fn decode_mb<M: MemModel, F: FrameSink>(
+    mem: &mut M,
+    r: &mut BitReader<'_>,
+    ctx: &DecodeCtx<'_>,
+    recon: &mut F,
+    st: &mut MbState<'_>,
+    (mbx, mby): (usize, usize),
+    conceal: bool,
+) -> Result<bool, CodecError> {
+    let transparent = match ctx.alpha {
+        Some(a) => span!(
+            mem,
+            Phase::Shape,
+            classify_bab(mem, a, mbx, mby) == BabClass::Transparent
+        ),
+        None => false,
+    };
+    if transparent {
+        st.stats.transparent_mbs += 1;
+        fill_grey_mb(mem, recon, mbx, mby);
+        st.clear_mb(mbx);
+        return Ok(false);
+    }
+    st.texture.charge_mb_overhead(mem);
+    if conceal {
+        st.conceal(mem, ctx.fwd, recon, (mbx, mby));
+        return Ok(false);
+    }
+    let qp = ctx.hdr.qp;
+    match ctx.hdr.kind {
+        VopKind::I => {
+            decode_intra_mb(mem, r, recon, st.texture, qp, mbx, mby, &mut st.ips)?;
+            st.stats.intra_mbs += 1;
+            st.fwd_pred.commit(mbx, MotionVector::ZERO);
+        }
+        VopKind::P => {
+            let reference = ctx
+                .fwd
+                .ok_or(CodecError::InvalidStream("P-VOP without reference"))?;
+            decode_p_mb(
+                mem,
+                r,
+                reference,
+                recon,
+                st.texture,
+                qp,
+                mbx,
+                mby,
+                &mut st.ips,
+                st.fwd_pred,
+                st.stats,
+            )?;
+        }
+        VopKind::B => {
+            let f = ctx
+                .fwd
+                .ok_or(CodecError::InvalidStream("B-VOP without fwd ref"))?;
+            let b = ctx
+                .bwd
+                .ok_or(CodecError::InvalidStream("B-VOP without bwd ref"))?;
+            decode_b_mb(
+                mem,
+                r,
+                f,
+                b,
+                recon,
+                st.texture,
+                qp,
+                mbx,
+                mby,
+                st.fwd_pred,
+                st.bwd_pred,
+                st.stats,
+            )?;
+            st.ips = IntraPredState::reset();
+        }
+    }
+    Ok(true)
+}
+
+/// Decodes the macroblock layer of one VOP (after shape) sequentially,
+/// with error resilience: on a corrupt macroblock or marker it conceals
+/// up to the next valid resync marker instead of failing (streams
+/// without markers fail).
 fn decode_vop_body<M: MemModel>(
     mem: &mut M,
     r: &mut BitReader<'_>,
-    header: &VopHeader,
-    alpha: Option<&TracedPlane>,
-    fwd: Option<&TracedFrame>,
-    bwd: Option<&TracedFrame>,
+    ctx: &DecodeCtx<'_>,
     recon: &mut TracedFrame,
     texture: &mut TextureCoder,
     charge: &mut StreamCharge,
-    bit_start: u64,
-    mb_cols: usize,
-    mb_rows: usize,
 ) -> Result<VopStats, CodecError> {
-    let mut stats = VopStats::default();
-    let qp = header.qp;
-
-    let (mbx_range, mby_range) = match header.bbox {
-        Some((x0, y0, bw, bh)) => {
-            if x0 + bw > mb_cols * 16 || y0 + bh > mb_rows * 16 {
-                return Err(CodecError::InvalidStream("bounding box out of frame"));
-            }
-            (x0 / 16..(x0 + bw) / 16, y0 / 16..(y0 + bh) / 16)
-        }
-        None => (0..mb_cols, 0..mb_rows),
-    };
-
-    let slice_rows = partition_rows(mby_range.clone(), header.slices);
-    let multi = slice_rows.len() > 1;
-    if multi {
+    let header = ctx.hdr;
+    if ctx.slice_rows.len() > 1 {
         // The sliced layout byte-aligns the header segment; consume the
         // stuffing so slice 0 starts on its byte boundary.
         r.skip_stuffing();
     }
 
+    let mut stats = VopStats::default();
+    let mb_cols = recon.y.width() / 16;
     let mut fwd_pred = MvPredictor::new(mb_cols);
     let mut bwd_pred = MvPredictor::new(mb_cols);
-    let total_mbs = mbx_range.len() * mby_range.len();
+    let mut st = MbState::new(texture, &mut fwd_pred, &mut bwd_pred, &mut stats);
+    let total_mbs = ctx.mbx_range.len() * ctx.mby_range.len();
     // `Some(target)` while concealing up to (but excluding) macroblock
     // `target`; `usize::MAX` conceals to the end of the VOP.
     let mut conceal_until: Option<usize> = None;
 
-    for (si, srows) in slice_rows.into_iter().enumerate() {
-        let slice_first_mb = (srows.start - mby_range.start) * mbx_range.len();
+    for (si, srows) in ctx.slice_rows.iter().enumerate() {
+        let slice_first_mb = (srows.start - ctx.mby_range.start) * ctx.mbx_range.len();
         let mut mb_counter = slice_first_mb;
         if si > 0 {
             match conceal_until {
                 None => {
                     // Slice header: stuffing, the resync word, the
                     // slice's first macroblock index, the quantizer.
-                    let ok = (|| -> Result<bool, CodecError> {
-                        r.skip_stuffing();
-                        let m = r.get_bits(16)?;
-                        let idx = get_ue(r)? as usize;
-                        let _qp = r.get_bits(5)?;
-                        Ok(m == u32::from(crate::encoder::RESYNC_MARKER) && idx == slice_first_mb)
-                    })()
-                    .unwrap_or(false);
-                    if !ok {
+                    r.skip_stuffing();
+                    if !matches!(read_marker(r), Ok(Some(idx)) if idx == slice_first_mb) {
                         let Some(interval) = header.resync_interval else {
                             return Err(CodecError::InvalidStream("slice header mismatch"));
                         };
@@ -1154,33 +1027,20 @@ fn decode_vop_body<M: MemModel>(
         }
         // Slice boundaries carry resync-marker semantics: no prediction
         // crosses them (the encoder starts each slice from reset state).
-        fwd_pred.reset();
-        bwd_pred.reset();
+        st.reset();
 
-        for mby in srows {
-            fwd_pred.start_row();
-            bwd_pred.start_row();
-            let mut ips = IntraPredState::reset();
-            for mbx in mbx_range.clone() {
+        for mby in srows.clone() {
+            st.start_row();
+            for mbx in ctx.mbx_range.clone() {
                 // Resynchronization-marker boundary handling.
                 if let Some(interval) = header.resync_interval {
-                    if mb_counter > slice_first_mb && mb_counter % interval == 0 {
+                    if mb_counter > slice_first_mb && mb_counter.is_multiple_of(interval) {
                         match conceal_until {
                             None => {
                                 // Clean path: consume the expected marker.
-                                let ok = (|| -> Result<bool, CodecError> {
-                                    r.skip_stuffing();
-                                    let m = r.get_bits(16)?;
-                                    let idx = get_ue(r)? as usize;
-                                    let _qp = r.get_bits(5)?;
-                                    Ok(m == u32::from(crate::encoder::RESYNC_MARKER)
-                                        && idx == mb_counter)
-                                })()
-                                .unwrap_or(false);
-                                if ok {
-                                    fwd_pred.reset();
-                                    bwd_pred.reset();
-                                    ips = IntraPredState::reset();
+                                r.skip_stuffing();
+                                if matches!(read_marker(r), Ok(Some(idx)) if idx == mb_counter) {
+                                    st.reset();
                                 } else {
                                     conceal_until =
                                         Some(scan_to_marker(r, mb_counter, total_mbs, interval));
@@ -1190,9 +1050,7 @@ fn decode_vop_body<M: MemModel>(
                                 // Resumption point: the scan already consumed
                                 // the marker header.
                                 conceal_until = None;
-                                fwd_pred.reset();
-                                bwd_pred.reset();
-                                ips = IntraPredState::reset();
+                                st.reset();
                             }
                             Some(_) => {}
                         }
@@ -1201,83 +1059,17 @@ fn decode_vop_body<M: MemModel>(
                 let counter = mb_counter;
                 mb_counter += 1;
 
-                let transparent = match alpha {
-                    Some(a) => span!(
-                        mem,
-                        Phase::Shape,
-                        classify_bab(mem, a, mbx, mby) == BabClass::Transparent
-                    ),
-                    None => false,
-                };
-                if transparent {
-                    stats.transparent_mbs += 1;
-                    fill_grey_mb(mem, recon, mbx, mby);
-                    fwd_pred.commit(mbx, MotionVector::ZERO);
-                    bwd_pred.commit(mbx, MotionVector::ZERO);
-                    ips = IntraPredState::reset();
-                    continue;
-                }
-                texture.charge_mb_overhead(mem);
-
-                if conceal_until.is_some() {
-                    conceal_mb(mem, fwd, recon, texture, mbx, mby);
-                    stats.concealed_mbs += 1;
-                    fwd_pred.commit(mbx, MotionVector::ZERO);
-                    bwd_pred.commit(mbx, MotionVector::ZERO);
-                    ips = IntraPredState::reset();
-                    continue;
-                }
-
-                let result = (|| -> Result<(), CodecError> {
-                    match header.kind {
-                        VopKind::I => {
-                            decode_intra_mb(mem, r, recon, texture, qp, mbx, mby, &mut ips)?;
-                            stats.intra_mbs += 1;
-                            fwd_pred.commit(mbx, MotionVector::ZERO);
-                        }
-                        VopKind::P => {
-                            let reference =
-                                fwd.ok_or(CodecError::InvalidStream("P-VOP without reference"))?;
-                            decode_p_mb(
-                                mem,
-                                r,
-                                reference,
-                                recon,
-                                texture,
-                                qp,
-                                mbx,
-                                mby,
-                                &mut ips,
-                                &mut fwd_pred,
-                                &mut stats,
-                            )?;
-                        }
-                        VopKind::B => {
-                            let f =
-                                fwd.ok_or(CodecError::InvalidStream("B-VOP without fwd ref"))?;
-                            let b =
-                                bwd.ok_or(CodecError::InvalidStream("B-VOP without bwd ref"))?;
-                            decode_b_mb(
-                                mem,
-                                r,
-                                f,
-                                b,
-                                recon,
-                                texture,
-                                qp,
-                                mbx,
-                                mby,
-                                &mut fwd_pred,
-                                &mut bwd_pred,
-                                &mut stats,
-                            )?;
-                            ips = IntraPredState::reset();
-                        }
-                    }
-                    Ok(())
-                })();
-                match result {
-                    Ok(()) => {}
+                match decode_mb(
+                    mem,
+                    r,
+                    ctx,
+                    recon,
+                    &mut st,
+                    (mbx, mby),
+                    conceal_until.is_some(),
+                ) {
+                    Ok(false) => continue,
+                    Ok(true) => {}
                     Err(e) => {
                         let Some(interval) = header.resync_interval else {
                             return Err(e);
@@ -1285,23 +1077,20 @@ fn decode_vop_body<M: MemModel>(
                         // Error resilience: conceal this macroblock and
                         // everything up to the next valid marker.
                         conceal_until = Some(scan_to_marker(r, counter, total_mbs, interval));
-                        conceal_mb(mem, fwd, recon, texture, mbx, mby);
-                        stats.concealed_mbs += 1;
-                        fwd_pred.commit(mbx, MotionVector::ZERO);
-                        bwd_pred.commit(mbx, MotionVector::ZERO);
-                        ips = IntraPredState::reset();
+                        st.conceal(mem, ctx.fwd, recon, (mbx, mby));
                     }
                 }
                 span!(
                     mem,
                     Phase::Parse,
-                    charge.charge_to(mem, r.bit_pos().max(bit_start) - bit_start)
+                    charge.charge_to(mem, r.bit_pos().max(ctx.bit_start) - ctx.bit_start)
                 );
             }
         }
     }
 
     if let Some(bbox) = header.bbox {
+        let (mb_cols, mb_rows) = (recon.y.width() / 16, recon.y.height() / 16);
         fill_bbox_ring(mem, recon, bbox, mb_cols, mb_rows);
     }
 
@@ -1314,41 +1103,17 @@ fn decode_vop_body<M: MemModel>(
 /// no further marker exists.
 fn scan_to_marker(r: &mut BitReader<'_>, after: usize, total_mbs: usize, interval: usize) -> usize {
     loop {
-        if !r.scan_aligned_u16(crate::encoder::RESYNC_MARKER) {
+        if !r.scan_aligned_u16(RESYNC_MARKER) {
             return usize::MAX;
         }
         let mut probe = r.clone();
-        let parsed = (|| -> Result<usize, CodecError> {
-            let idx = get_ue(&mut probe)? as usize;
-            let _qp = probe.get_bits(5)?;
-            Ok(idx)
-        })();
-        if let Ok(idx) = parsed {
+        if let Ok(idx) = read_marker_fields(&mut probe) {
             if idx > after && idx < total_mbs && idx % interval == 0 {
                 *r = probe;
                 return idx;
             }
         }
         // False positive inside payload: keep scanning after the match.
-    }
-}
-
-/// Conceals one macroblock: zero-motion copy from the forward reference
-/// when one exists, mid-grey otherwise.
-fn conceal_mb<M: MemModel, F: FrameSink>(
-    mem: &mut M,
-    fwd: Option<&TracedFrame>,
-    recon: &mut F,
-    texture: &TextureCoder,
-    mbx: usize,
-    mby: usize,
-) {
-    match fwd {
-        Some(reference) => {
-            let (py, pu, pv) = predict_mb(mem, reference, texture, MotionVector::ZERO, mbx, mby);
-            store_prediction(mem, recon, texture, &py, &pu, &pv, mbx, mby);
-        }
-        None => fill_grey_mb(mem, recon, mbx, mby),
     }
 }
 
@@ -1413,55 +1178,6 @@ fn decode_intra_mb_blocks<M: MemModel, F: FrameSink>(
         write_block(mem, dst, cx, cy, &rec);
     }
     Ok(())
-}
-
-/// Builds the three prediction buffers for an inter MB.
-fn predict_mb<M: MemModel>(
-    mem: &mut M,
-    reference: &TracedFrame,
-    texture: &TextureCoder,
-    mv: MotionVector,
-    mbx: usize,
-    mby: usize,
-) -> ([u8; 256], [u8; 64], [u8; 64]) {
-    span!(mem, Phase::McPredict, {
-        let mut pred_y = [0u8; 256];
-        motion_compensate_block(
-            mem,
-            &reference.y,
-            mv,
-            (mbx * 16) as isize,
-            (mby * 16) as isize,
-            16,
-            16,
-            &mut pred_y,
-        );
-        let cmv = chroma_mv(mv);
-        let mut pred_u = [0u8; 64];
-        let mut pred_v = [0u8; 64];
-        motion_compensate_block(
-            mem,
-            &reference.u,
-            cmv,
-            (mbx * 8) as isize,
-            (mby * 8) as isize,
-            8,
-            8,
-            &mut pred_u,
-        );
-        motion_compensate_block(
-            mem,
-            &reference.v,
-            cmv,
-            (mbx * 8) as isize,
-            (mby * 8) as isize,
-            8,
-            8,
-            &mut pred_v,
-        );
-        texture.charge_pred_store(mem, 384);
-        (pred_y, pred_u, pred_v)
-    })
 }
 
 /// Parses the cbp flags and the flagged residual blocks — the Vlc

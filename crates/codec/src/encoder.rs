@@ -14,16 +14,20 @@ use crate::me::MotionSearch;
 use crate::plane::{FrameSink, FrameViewMut, RowSink, TracedFrame, TracedPlane};
 use crate::rate::RateController;
 use crate::shape::{classify_bab, encode_alpha_plane, BabClass};
-use crate::slices::partition_rows;
+use crate::slices::{
+    mb_ranges, partition_rows, run_chains, run_inline, Chain, SliceJob, SliceScratch,
+    SLICE_CHARGE_SPAN,
+};
 use crate::texture::TextureCoder;
 use crate::types::{MacroblockKind, MotionVector, VopKind};
 use crate::vlc::{put_se, put_ue};
 use m4ps_bitstream::BitWriter;
-use m4ps_memsim::{AddressSpace, MemModel, ParallelModel};
+use m4ps_memsim::{AddressSpace, Counters, MemModel, ParallelModel};
 use m4ps_obs::{span, MetricId, Phase};
-use m4ps_pool::{Scope, WorkerPool};
+use m4ps_pool::WorkerPool;
+use std::convert::Infallible;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A borrowed view of one 4:2:0 input frame.
 #[derive(Debug, Clone, Copy)]
@@ -188,8 +192,6 @@ struct BSlot {
 pub struct VideoObjectCoder {
     config: EncoderConfig,
     vol: VolHeader,
-    mb_cols: usize,
-    mb_rows: usize,
     cur: TracedFrame,
     cur_alpha: Option<TracedPlane>,
     cur_bbox: Bbox,
@@ -200,39 +202,10 @@ pub struct VideoObjectCoder {
     prev_anchor: usize,
     have_anchor: bool,
     b_recon: TracedFrame,
-    /// Per-slot reconstruction buffers for the pipelined (fixed-QP)
-    /// B-drain, where queued B-VOPs encode concurrently and cannot
-    /// share `b_recon`. Allocated at the *end* of the address space so
-    /// the legacy layout's simulated addresses are unchanged.
-    b_recons: Vec<TracedFrame>,
-    /// Per-slot slice scratch for the pipelined B-drain (each
-    /// concurrent VOP needs its own texture clones and MV predictors).
-    b_scratch: Vec<Vec<SliceScratch>>,
-    texture: TextureCoder,
-    /// Reusable per-slice coding state (texture scratch clones and MV
-    /// predictors), grown on first use and recycled every VOP so the
-    /// steady-state encode loop performs no per-slice heap allocation.
-    slice_scratch: Vec<SliceScratch>,
-    search: MotionSearch,
-    rate: RateController,
+    engine: EncodeEngine,
     next_display: usize,
     display_scale: usize,
     display_offset: usize,
-    stream_base: u64,
-    stream_bits: u64,
-    keep_recon: bool,
-    /// Worker pool, created lazily on first encode (or shared via
-    /// [`VideoObjectCoder::set_pool`]). Lazy so that constructing many
-    /// session coders — the multi-session service holds hundreds, all
-    /// sharing one pool — spawns no per-coder OS threads.
-    pool: Option<Arc<WorkerPool>>,
-    /// Thread count for the lazily created pool; 0 = resolve from the
-    /// environment at creation time.
-    threads_hint: usize,
-    sched: Scheduling,
-    /// Accumulated counter deltas over the `encode_vop` windows — the
-    /// paper's `VopCode()` instrumentation (Table 8).
-    vop_window: m4ps_memsim::Counters,
 }
 
 impl VideoObjectCoder {
@@ -307,25 +280,11 @@ impl VideoObjectCoder {
         let b_recon = TracedFrame::new(space, width, height);
         space.set_tag("enc.scratch");
         let texture = TextureCoder::new(space);
-        let stream_base = {
-            space.set_tag("enc.bitstream");
-            let base = space.alloc(16 * 1024 * 1024);
-            space.set_tag("untagged");
-            base
-        };
-        // Everything below is appended past the legacy layout: the
-        // cursor only ever grows, so these allocations leave every
-        // existing simulated address (and therefore every charge
-        // stream that doesn't use them) untouched.
-        space.set_tag("enc.b_recon");
-        let b_recons = (0..config.gop.b_frames)
-            .map(|_| TracedFrame::new(space, width, height))
-            .collect();
+        space.set_tag("enc.bitstream");
+        let stream_base = space.alloc(16 * 1024 * 1024);
         space.set_tag("untagged");
         Ok(VideoObjectCoder {
             vol,
-            mb_cols: width / 16,
-            mb_rows: height / 16,
             cur,
             cur_alpha,
             cur_bbox: (0, 0, 0, 0),
@@ -336,22 +295,27 @@ impl VideoObjectCoder {
             prev_anchor: 0,
             have_anchor: false,
             b_recon,
-            b_recons,
-            b_scratch: Vec::new(),
-            texture,
-            slice_scratch: Vec::new(),
-            search: MotionSearch::new(config.search, config.search_range, config.half_pel),
-            rate: RateController::new(config.initial_qp, config.bitrate, config.frame_rate),
+            engine: EncodeEngine {
+                mb_cols: width / 16,
+                mb_rows: height / 16,
+                four_mv: config.four_mv,
+                resync_interval: config.resync_mb_interval,
+                slices: config.slices,
+                texture,
+                slice_scratch: Vec::new(),
+                search: MotionSearch::new(config.search, config.search_range, config.half_pel),
+                rate: RateController::new(config.initial_qp, config.bitrate, config.frame_rate),
+                stream_base,
+                stream_bits: 0,
+                keep_recon: false,
+                pool: None,
+                threads_hint: 0,
+                sched: Scheduling::from_env(),
+                vop_window: Counters::new(),
+            },
             next_display: 0,
             display_scale: 1,
             display_offset: 0,
-            stream_base,
-            stream_bits: 0,
-            keep_recon: false,
-            pool: None,
-            threads_hint: 0,
-            sched: Scheduling::from_env(),
-            vop_window: m4ps_memsim::Counters::new(),
             config,
         })
     }
@@ -366,9 +330,10 @@ impl VideoObjectCoder {
     /// parallelism.
     pub fn set_threads(&mut self, threads: usize) {
         let threads = threads.clamp(1, 256);
-        self.threads_hint = threads;
-        if self.pool.as_ref().is_some_and(|p| p.threads() != threads) {
-            self.pool = None;
+        let engine = &mut self.engine;
+        engine.threads_hint = threads;
+        if engine.pool.as_ref().is_some_and(|p| p.threads() != threads) {
+            engine.pool = None;
         }
     }
 
@@ -378,13 +343,13 @@ impl VideoObjectCoder {
     /// one pool to every session — so workers are spawned once and
     /// parked between VOPs instead of re-created per coder.
     pub fn set_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.threads_hint = pool.threads();
-        self.pool = Some(pool);
+        self.engine.threads_hint = pool.threads();
+        self.engine.pool = Some(pool);
     }
 
     /// The worker thread count slices are scheduled onto.
     pub fn threads(&self) -> usize {
-        match (&self.pool, self.threads_hint) {
+        match (&self.engine.pool, self.engine.threads_hint) {
             (Some(p), _) => p.threads(),
             (None, 0) => {
                 m4ps_pool::resolve_threads(std::env::var(m4ps_pool::THREADS_ENV).ok().as_deref())
@@ -393,28 +358,15 @@ impl VideoObjectCoder {
         }
     }
 
-    /// The pool VOP work is scheduled onto, created on first use.
-    fn pool_handle(&mut self) -> Arc<WorkerPool> {
-        if self.pool.is_none() {
-            let pool = if self.threads_hint > 0 {
-                WorkerPool::new(self.threads_hint)
-            } else {
-                WorkerPool::from_env()
-            };
-            self.pool = Some(Arc::new(pool));
-        }
-        Arc::clone(self.pool.as_ref().expect("pool just created"))
-    }
-
     /// Selects how VOP work is decomposed onto the pool (see
     /// [`Scheduling`]). Output is bit-identical across modes.
     pub fn set_scheduling(&mut self, sched: Scheduling) {
-        self.sched = sched;
+        self.engine.sched = sched;
     }
 
     /// The active scheduling mode.
     pub fn scheduling(&self) -> Scheduling {
-        self.sched
+        self.engine.sched
     }
 
     /// The VOL header describing this layer.
@@ -431,7 +383,7 @@ impl VideoObjectCoder {
 
     /// Keep raw reconstruction copies in every [`EncodedVop`] (testing).
     pub fn set_keep_recon(&mut self, keep: bool) {
-        self.keep_recon = keep;
+        self.engine.keep_recon = keep;
     }
 
     /// Maps internal frame numbering to stream display indices as
@@ -446,8 +398,8 @@ impl VideoObjectCoder {
 
     /// Counter deltas accumulated over every `encode_vop` window so far
     /// — the paper's `VopCode()` burstiness instrumentation.
-    pub fn vop_window(&self) -> m4ps_memsim::Counters {
-        self.vop_window
+    pub fn vop_window(&self) -> Counters {
+        self.engine.vop_window
     }
 
     /// Reconstruction of the most recent anchor (reference for temporal
@@ -465,6 +417,36 @@ impl VideoObjectCoder {
         } else {
             VopKind::B
         }
+    }
+
+    /// Loads the next display-order frame (and its alpha region) into
+    /// `self.cur` under the frame-I/O phase.
+    fn load_cur<M: MemModel>(&mut self, mem: &mut M, frame: &FrameView<'_>, alpha: Option<&[u8]>) {
+        span!(mem, Phase::FrameIo, {
+            if let Some(mask) = alpha {
+                // Shaped objects load only their VOP-sized region.
+                let bbox = mask_bbox(mask, self.vol.width, self.vol.height);
+                self.cur
+                    .copy_region_from_yuv(mem, frame.y, frame.u, frame.v, bbox);
+            } else {
+                self.cur.copy_from_yuv(
+                    mem,
+                    frame.y,
+                    frame.u,
+                    frame.v,
+                    self.config.software_prefetch,
+                );
+            }
+            if let (Some(plane), Some(mask)) = (self.cur_alpha.as_mut(), alpha) {
+                let bbox = mask_bbox(mask, plane.width(), plane.height());
+                if let Some((px, py, pw, ph)) = self.prev_alpha_bbox {
+                    plane.clear_region(mem, px, py, pw, ph);
+                }
+                plane.copy_region_from(mem, mask, bbox);
+                self.prev_alpha_bbox = Some(bbox);
+                self.cur_bbox = bbox;
+            }
+        });
     }
 
     /// Submits the next display-order frame. Returns the VOPs that became
@@ -534,31 +516,7 @@ impl VideoObjectCoder {
 
         // Anchor path (also handles a B that could not queue: encode as P).
         let kind = if kind == VopKind::B { VopKind::P } else { kind };
-        span!(mem, Phase::FrameIo, {
-            if let Some(mask) = alpha {
-                // Shaped objects load only their VOP-sized region.
-                let bbox = mask_bbox(mask, self.vol.width, self.vol.height);
-                self.cur
-                    .copy_region_from_yuv(mem, frame.y, frame.u, frame.v, bbox);
-            } else {
-                self.cur.copy_from_yuv(
-                    mem,
-                    frame.y,
-                    frame.u,
-                    frame.v,
-                    self.config.software_prefetch,
-                );
-            }
-            if let (Some(plane), Some(mask)) = (self.cur_alpha.as_mut(), alpha) {
-                let bbox = mask_bbox(mask, plane.width(), plane.height());
-                if let Some((px, py, pw, ph)) = self.prev_alpha_bbox {
-                    plane.clear_region(mem, px, py, pw, ph);
-                }
-                plane.copy_region_from(mem, mask, bbox);
-                self.prev_alpha_bbox = Some(bbox);
-                self.cur_bbox = bbox;
-            }
-        });
+        self.load_cur(mem, frame, alpha);
         let mut out = Vec::with_capacity(1 + self.queue_len);
         out.push(self.encode_anchor_from_cur(mem, kind, idx));
         out.extend(self.drain_b_queue(mem));
@@ -573,383 +531,65 @@ impl VideoObjectCoder {
         display_index: usize,
     ) -> EncodedVop {
         let kind = if self.have_anchor { kind } else { VopKind::I };
-        let qp = self.rate.qp_for(kind);
         let new_idx = if self.have_anchor {
             1 - self.prev_anchor
         } else {
             0
         };
-        let header = VopHeader {
-            kind,
-            display_index: display_index as u32,
-            qp,
-            bbox: None, // filled inside encode_vop for shape layers
-            resync_interval: self.config.resync_mb_interval,
-            slices: self.config.slices,
-        };
-        let window_start = *mem.counters();
-        // The VopEncode span reuses the paper's `VopCode()` counter
-        // window: enter on the snapshot already taken for `vop_window`.
-        let obs_on = m4ps_obs::enabled();
-        if obs_on {
-            m4ps_obs::enter(Phase::VopEncode, window_start);
-        }
-        let pool = self.pool_handle();
-        let (left, right) = self.anchors.split_at_mut(1);
-        let (fwd, recon): (Option<&TracedFrame>, &mut TracedFrame) = if new_idx == 0 {
-            (
-                (kind != VopKind::I && self.have_anchor).then_some(&right[0]),
-                &mut left[0],
-            )
-        } else {
-            (
-                (kind != VopKind::I && self.have_anchor).then_some(&left[0]),
-                &mut right[0],
-            )
-        };
-        let (bytes, stats) = encode_vop(
-            mem,
-            header,
+        let (cur, alpha) = (
             &self.cur,
             self.cur_alpha.as_ref().map(|a| (a, self.cur_bbox)),
-            fwd,
-            None,
-            recon,
-            &self.texture,
-            &mut self.slice_scratch,
-            &self.search,
-            self.stream_base + self.stream_bits / 8,
-            self.mb_cols,
-            self.mb_rows,
-            self.config.four_mv,
-            &pool,
-            self.sched,
         );
-        if !self.vol.binary_shape {
-            // Rectangular VOPs pad the whole reference frame; shaped
-            // VOPs are padded VOP-locally (the grey ring around the
-            // bounding box), as the reference codec pads VOP buffers.
-            recon.pad_borders(mem);
-        }
-        if obs_on {
-            m4ps_obs::exit(Phase::VopEncode, *mem.counters());
-        }
-        self.vop_window = self
-            .vop_window
-            .merged_with(&mem.counters().delta_since(&window_start));
-        let recon_copy = self.keep_recon.then(|| ReconPlanes {
-            y: recon.y.copy_out(mem),
-            u: recon.u.copy_out(mem),
-            v: recon.v.copy_out(mem),
-        });
-        self.stream_bits += stats.bits;
-        self.rate.update(kind, stats.bits);
+        let (left, right) = self.anchors.split_at_mut(1);
+        let (recon, other) = if new_idx == 0 {
+            (&mut left[0], &right[0])
+        } else {
+            (&mut right[0], &left[0])
+        };
+        let frames = VopFrames {
+            cur,
+            alpha,
+            fwd: (kind != VopKind::I && self.have_anchor).then_some(other),
+            bwd: None,
+        };
+        // Rectangular VOPs pad the whole reference frame; shaped VOPs
+        // are padded VOP-locally (the grey ring around the bounding
+        // box), as the reference codec pads VOP buffers.
+        let pad = !self.vol.binary_shape;
+        let vop = self
+            .engine
+            .code(mem, kind, display_index, frames, recon, pad);
         self.prev_anchor = new_idx;
         self.have_anchor = true;
-        EncodedVop {
-            kind,
-            display_index,
-            qp,
-            bytes,
-            stats,
-            recon: recon_copy,
-        }
+        vop
     }
 
-    /// Encodes every queued B-frame against the two live anchors.
-    ///
-    /// Fixed-QP sessions (no rate controller feedback between VOPs)
-    /// take the pipelined path: the whole queue is encoded as one
-    /// batch of slice chains on the pool, so VOP N+1's motion search
-    /// overlaps VOP N's texture-coding drain. Rate-controlled sessions
-    /// keep the sequential loop — each VOP's bit count feeds the next
-    /// VOP's quantizer, a true dependency the pipeline must not break.
+    /// Encodes every queued B-frame against the two live anchors, one
+    /// VOP after another in queue order. Each VOP's bit count reaches
+    /// the rate controller before the next VOP picks its quantizer;
+    /// sliced VOPs still run their slices in parallel.
     fn drain_b_queue<M: ParallelModel>(&mut self, mem: &mut M) -> Vec<EncodedVop> {
-        if self.queue_len == 0 {
-            return Vec::new();
-        }
-        if self.config.bitrate.is_none() {
-            return self.drain_b_queue_pipelined(mem);
-        }
-        let mut out = Vec::with_capacity(self.queue_len);
-        let pool = self.pool_handle();
-        for q in 0..self.queue_len {
-            let qp = self.rate.qp_for(VopKind::B);
-            let slot = &self.b_slots[q];
-            let header = VopHeader {
-                kind: VopKind::B,
-                display_index: slot.display_index as u32,
-                qp,
-                bbox: None,
-                resync_interval: self.config.resync_mb_interval,
-                slices: self.config.slices,
-            };
-            let window_start = *mem.counters();
-            let obs_on = m4ps_obs::enabled();
-            if obs_on {
-                m4ps_obs::enter(Phase::VopEncode, window_start);
-            }
-            // Forward ref is the *older* anchor, backward the newer.
-            let older = 1 - self.prev_anchor;
-            let (left, right) = self.anchors.split_at_mut(1);
-            let (fwd, bwd) = if older == 0 {
-                (&left[0], &right[0])
-            } else {
-                (&right[0], &left[0])
-            };
-            let (bytes, stats) = encode_vop(
-                mem,
-                header,
-                &slot.frame,
-                slot.alpha.as_ref().map(|a| (a, slot.bbox)),
-                Some(fwd),
-                Some(bwd),
-                &mut self.b_recon,
-                &self.texture,
-                &mut self.slice_scratch,
-                &self.search,
-                self.stream_base + self.stream_bits / 8,
-                self.mb_cols,
-                self.mb_rows,
-                self.config.four_mv,
-                &pool,
-                self.sched,
-            );
-            if obs_on {
-                m4ps_obs::exit(Phase::VopEncode, *mem.counters());
-            }
-            self.vop_window = self
-                .vop_window
-                .merged_with(&mem.counters().delta_since(&window_start));
-            let recon_copy = self.keep_recon.then(|| ReconPlanes {
-                y: self.b_recon.y.copy_out(mem),
-                u: self.b_recon.u.copy_out(mem),
-                v: self.b_recon.v.copy_out(mem),
-            });
-            self.stream_bits += stats.bits;
-            self.rate.update(VopKind::B, stats.bits);
-            out.push(EncodedVop {
-                kind: VopKind::B,
-                display_index: slot.display_index,
-                qp,
-                bytes,
-                stats,
-                recon: recon_copy,
-            });
-        }
-        self.queue_len = 0;
-        out
-    }
-
-    /// Pipelined fixed-QP B-drain: every queued B-VOP's slice chains
-    /// are spawned into *one* pool scope, so the scheduler interleaves
-    /// motion estimation for VOP N+1 with VOP N's texture-coding drain
-    /// whenever a worker runs dry. The bitstream is byte-identical to
-    /// the sequential drain (same quantizer, inputs and anchors into
-    /// fresh writers); merged counters stay deterministic because every
-    /// VOP charges a private window at
-    /// `batch_base + k * (slices + 2) * SLICE_CHARGE_SPAN` — a function
-    /// of queue position alone, never of scheduling.
-    fn drain_b_queue_pipelined<M: ParallelModel>(&mut self, mem: &mut M) -> Vec<EncodedVop> {
-        /// Coordinator-side header state for one queued VOP: `head`
-        /// holds a finished (byte-aligned) header segment for sliced
-        /// VOPs; `inline` carries the still-open writer and charge
-        /// state into an unsliced VOP's single chain.
-        struct Prep {
-            hdr: VopHeader,
-            slice_rows: Vec<Range<usize>>,
-            mbx_range: Range<usize>,
-            mby_start: usize,
-            header_bits: u64,
-            head: Option<BitWriter>,
-            inline: Option<(BitWriter, StreamCharge)>,
-        }
-
-        let n = self.queue_len;
-        self.queue_len = 0;
-        let qp = self.rate.qp_for(VopKind::B);
-        let batch_base = self.stream_base + self.stream_bits / 8;
-        let vop_span = (self.config.slices as u64 + 2) * SLICE_CHARGE_SPAN;
-
-        let window_start = *mem.counters();
-        let obs_on = m4ps_obs::enabled();
-        if obs_on {
-            m4ps_obs::enter(Phase::VopEncode, window_start);
-        }
-
-        // Pass A (coordinator, VOP order): headers, alpha planes and
-        // their stream charges against the parent model, exactly as the
-        // sequential drain would have produced them.
-        let mut preps: Vec<Prep> = Vec::with_capacity(n);
-        for k in 0..n {
-            let slot = &self.b_slots[k];
-            let alpha = slot.alpha.as_ref().map(|a| (a, slot.bbox));
-            let bbox = alpha.map(|(_, b)| b);
-            let mut hdr = VopHeader {
-                kind: VopKind::B,
-                display_index: slot.display_index as u32,
-                qp,
-                bbox,
-                resync_interval: self.config.resync_mb_interval,
-                slices: self.config.slices,
-            };
-            let (mbx_range, mby_range) = match bbox {
-                Some((x0, y0, bw, bh)) => (x0 / 16..(x0 + bw) / 16, y0 / 16..(y0 + bh) / 16),
-                None => (0..self.mb_cols, 0..self.mb_rows),
-            };
-            let slice_rows = partition_rows(mby_range.clone(), hdr.slices);
-            hdr.slices = slice_rows.len();
-            let mut w = BitWriter::new();
-            let mut charge = StreamCharge::writer(batch_base + k as u64 * vop_span);
-            hdr.write(&mut w);
-            if let Some((a, b)) = alpha {
-                span!(mem, Phase::Shape, encode_alpha_plane(mem, a, b, &mut w));
-            }
-            let (header_bits, head, inline) = if hdr.slices == 1 {
-                // Unsliced: macroblock bits continue straight off the
-                // header in the same writer and charge window.
-                charge.charge_to(mem, w.bit_len());
-                (0, None, Some((w, charge)))
-            } else {
-                w.stuff_to_alignment();
-                charge.charge_to(mem, w.bit_len());
-                (w.bit_len(), Some(w), None)
-            };
-            preps.push(Prep {
-                hdr,
-                slice_rows,
-                mbx_range,
-                mby_start: mby_range.start,
-                header_bits,
-                head,
-                inline,
-            });
-            while self.b_scratch.len() <= k {
-                self.b_scratch.push(Vec::new());
-            }
-        }
-        for (prep, scratch) in preps.iter().zip(self.b_scratch.iter_mut()) {
-            while scratch.len() < prep.slice_rows.len() {
-                scratch.push(SliceScratch::new(&self.texture, self.mb_cols));
-            }
-        }
-
-        let pool = self.pool_handle();
         // Forward ref is the *older* anchor, backward the newer.
         let older = 1 - self.prev_anchor;
         let (fwd, bwd) = (&self.anchors[older], &self.anchors[1 - older]);
-        let ctxs: Vec<SliceCtx<'_>> = preps
-            .iter()
-            .enumerate()
-            .map(|(k, prep)| {
-                let slot = &self.b_slots[k];
-                SliceCtx {
-                    hdr: prep.hdr,
-                    cur: &slot.frame,
-                    alpha: slot.alpha.as_ref().map(|a| (a, slot.bbox)),
-                    fwd: Some(fwd),
-                    bwd: Some(bwd),
-                    search: &self.search,
-                    mbx_range: prep.mbx_range.clone(),
-                    four_mv: self.config.four_mv,
-                }
-            })
-            .collect();
-
-        // Forks happen here, sequentially, in (VOP, slice) order — the
-        // same deterministic snapshot every scheduling would see.
-        let sched = self.sched;
-        let mut chainsv: Vec<Vec<SliceChain<'_, M>>> = Vec::with_capacity(n);
-        for (((prep, ctx), recon), scratch) in preps
-            .iter_mut()
-            .zip(ctxs.iter())
-            .zip(self.b_recons.iter_mut())
-            .zip(self.b_scratch.iter_mut())
-        {
-            let views = recon.split_mb_rows_mut(&prep.slice_rows);
-            let vop_base = batch_base + (chainsv.len() as u64) * vop_span;
-            chainsv.push(build_slice_chains(
+        let mut out = Vec::with_capacity(self.queue_len);
+        for slot in &self.b_slots[..self.queue_len] {
+            let frames = VopFrames {
+                cur: &slot.frame,
+                alpha: slot.alpha.as_ref().map(|a| (a, slot.bbox)),
+                fwd: Some(fwd),
+                bwd: Some(bwd),
+            };
+            out.push(self.engine.code(
                 mem,
-                ctx,
-                &prep.slice_rows,
-                views,
-                scratch,
-                prep.mby_start,
-                vop_base,
-                sched,
-                prep.inline.take(),
+                VopKind::B,
+                slot.display_index,
+                frames,
+                &mut self.b_recon,
+                false,
             ));
         }
-
-        // One scope for the whole batch: all VOPs' chains share the
-        // worker pool, so late rows of VOP N overlap early rows of
-        // VOP N+1.
-        let slotsv: Vec<Vec<Mutex<Option<SliceOut<M>>>>> = chainsv
-            .iter()
-            .map(|chains| chains.iter().map(|_| Mutex::new(None)).collect())
-            .collect();
-        let session = m4ps_obs::current();
-        pool.scope(session.as_ref(), |scope| {
-            for ((chains, ctx), slots) in chainsv.iter_mut().zip(ctxs.iter()).zip(slotsv.iter()) {
-                for (chain, slot) in chains.drain(..).zip(slots.iter()) {
-                    scope.spawn(move |s| slice_chain_step(chain, ctx, slot, s));
-                }
-            }
-        });
-
-        // Merge in (VOP, slice) order while the VopEncode window is
-        // still open, so `absorbed` keeps the window from double
-        // counting the forks' traffic.
-        let mut merged: Vec<(Vec<u8>, VopStats)> = Vec::with_capacity(n);
-        for ((k, prep), slots) in preps.iter_mut().enumerate().zip(slotsv) {
-            let mut stats = VopStats::default();
-            let mut bytes = match prep.head.take() {
-                Some(w) => w.into_bytes(),
-                None => Vec::new(),
-            };
-            for slot in slots {
-                let (sbytes, sstats, smem) = slot
-                    .into_inner()
-                    .expect("slice slot lock")
-                    .expect("scope waits for every slice chain");
-                let child_total = *smem.counters();
-                mem.absorb(smem);
-                m4ps_obs::absorbed(&child_total);
-                stats.merge(&sstats);
-                bytes.extend_from_slice(&sbytes);
-            }
-            stats.bits += prep.header_bits;
-            if let Some(bbox) = prep.hdr.bbox {
-                fill_bbox_ring(mem, &mut self.b_recons[k], bbox, self.mb_cols, self.mb_rows);
-            }
-            merged.push((bytes, stats));
-        }
-
-        if obs_on {
-            m4ps_obs::exit(Phase::VopEncode, *mem.counters());
-        }
-        self.vop_window = self
-            .vop_window
-            .merged_with(&mem.counters().delta_since(&window_start));
-
-        let mut out = Vec::with_capacity(n);
-        for (k, (bytes, stats)) in merged.into_iter().enumerate() {
-            let recon_copy = self.keep_recon.then(|| ReconPlanes {
-                y: self.b_recons[k].y.copy_out(mem),
-                u: self.b_recons[k].u.copy_out(mem),
-                v: self.b_recons[k].v.copy_out(mem),
-            });
-            self.stream_bits += stats.bits;
-            self.rate.update(VopKind::B, stats.bits);
-            out.push(EncodedVop {
-                kind: VopKind::B,
-                display_index: self.b_slots[k].display_index,
-                qp,
-                bytes,
-                stats,
-                recon: recon_copy,
-            });
-        }
+        self.queue_len = 0;
         out
     }
 
@@ -999,84 +639,16 @@ impl VideoObjectCoder {
         let idx = self.next_display;
         self.next_display += 1;
         let idx = self.display_offset + self.display_scale * idx;
-        span!(mem, Phase::FrameIo, {
-            if let Some(mask) = alpha {
-                let bbox = mask_bbox(mask, self.vol.width, self.vol.height);
-                self.cur
-                    .copy_region_from_yuv(mem, frame.y, frame.u, frame.v, bbox);
-            } else {
-                self.cur.copy_from_yuv(
-                    mem,
-                    frame.y,
-                    frame.u,
-                    frame.v,
-                    self.config.software_prefetch,
-                );
-            }
-            if let (Some(plane), Some(mask)) = (self.cur_alpha.as_mut(), alpha) {
-                let bbox = mask_bbox(mask, plane.width(), plane.height());
-                if let Some((px, py, pw, ph)) = self.prev_alpha_bbox {
-                    plane.clear_region(mem, px, py, pw, ph);
-                }
-                plane.copy_region_from(mem, mask, bbox);
-                self.prev_alpha_bbox = Some(bbox);
-                self.cur_bbox = bbox;
-            }
-        });
-        let qp = self.rate.qp_for(VopKind::P);
-        let header = VopHeader {
-            kind: VopKind::P,
-            display_index: idx as u32,
-            qp,
-            bbox: None,
-            resync_interval: self.config.resync_mb_interval,
-            slices: self.config.slices,
+        self.load_cur(mem, frame, alpha);
+        let frames = VopFrames {
+            cur: &self.cur,
+            alpha: self.cur_alpha.as_ref().map(|a| (a, self.cur_bbox)),
+            fwd: Some(ext),
+            bwd: None,
         };
-        let pool = self.pool_handle();
-        let window_start = *mem.counters();
-        let obs_on = m4ps_obs::enabled();
-        if obs_on {
-            m4ps_obs::enter(Phase::VopEncode, window_start);
-        }
-        let (bytes, stats) = encode_vop(
-            mem,
-            header,
-            &self.cur,
-            self.cur_alpha.as_ref().map(|a| (a, self.cur_bbox)),
-            Some(ext),
-            None,
-            &mut self.b_recon,
-            &self.texture,
-            &mut self.slice_scratch,
-            &self.search,
-            self.stream_base + self.stream_bits / 8,
-            self.mb_cols,
-            self.mb_rows,
-            self.config.four_mv,
-            &pool,
-            self.sched,
-        );
-        if obs_on {
-            m4ps_obs::exit(Phase::VopEncode, *mem.counters());
-        }
-        self.vop_window = self
-            .vop_window
-            .merged_with(&mem.counters().delta_since(&window_start));
-        let recon_copy = self.keep_recon.then(|| ReconPlanes {
-            y: self.b_recon.y.copy_out(mem),
-            u: self.b_recon.u.copy_out(mem),
-            v: self.b_recon.v.copy_out(mem),
-        });
-        self.stream_bits += stats.bits;
-        self.rate.update(VopKind::P, stats.bits);
-        Ok(EncodedVop {
-            kind: VopKind::P,
-            display_index: idx,
-            qp,
-            bytes,
-            stats,
-            recon: recon_copy,
-        })
+        Ok(self
+            .engine
+            .code(mem, VopKind::P, idx, frames, &mut self.b_recon, false))
     }
 }
 
@@ -1165,453 +737,356 @@ pub(crate) fn fill_bbox_ring<M: MemModel, F: FrameSink>(
     }
 }
 
-/// Simulated-address stride between the per-slice bitstream staging
-/// buffers. Each slice charges its bitstream traffic to its own 64 KiB
-/// window past the parent's write position, so the charge addresses are
-/// a function of the slice index alone — never of which thread ran the
-/// slice — keeping merged counters scheduling-independent.
-pub(crate) const SLICE_CHARGE_SPAN: u64 = 64 * 1024;
-
-/// Reusable per-slice coding state: the texture pipeline's traced
-/// scratch buffers and the slice's motion-vector predictors. Cloned
-/// from the coder's template once per slice index and recycled every
-/// VOP — texture clones keep their simulated base addresses, so reuse
-/// charges exactly the traffic a fresh clone would.
-#[derive(Debug)]
-pub(crate) struct SliceScratch {
-    pub(crate) texture: TextureCoder,
-    pub(crate) fwd_pred: MvPredictor,
-    pub(crate) bwd_pred: MvPredictor,
-}
-
-impl SliceScratch {
-    pub(crate) fn new(template: &TextureCoder, mb_cols: usize) -> Self {
-        SliceScratch {
-            texture: template.clone(),
-            fwd_pred: MvPredictor::new(mb_cols),
-            bwd_pred: MvPredictor::new(mb_cols),
-        }
-    }
-}
-
-/// Encodes one VOP. Returns the byte payload and statistics.
-///
-/// When `header.slices > 1` the macroblock rows are partitioned with
-/// [`partition_rows`] and the slices run as independent jobs on `pool`.
-/// Each job encodes into its own [`BitWriter`] against a forked memory
-/// model ([`ParallelModel::fork`]), reads the shared reference frames
-/// by `&`, and writes the reconstruction *in place* through a disjoint
-/// [`FrameViewMut`](crate::FrameViewMut) over its macroblock rows — no
-/// frame clone, no stitch-back copy. Because the partition, per-slice
-/// prediction resets and charge addresses depend only on the *slice
-/// count* (a bitstream parameter), the output is bit-exact for any
-/// thread count.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn encode_vop<M: ParallelModel>(
-    mem: &mut M,
-    mut header: VopHeader,
-    cur: &TracedFrame,
-    alpha: Option<(&TracedPlane, Bbox)>,
-    fwd: Option<&TracedFrame>,
-    bwd: Option<&TracedFrame>,
-    recon: &mut TracedFrame,
-    texture: &TextureCoder,
-    scratch: &mut Vec<SliceScratch>,
-    search: &MotionSearch,
-    stream_base: u64,
-    mb_cols: usize,
-    mb_rows: usize,
-    four_mv: bool,
-    pool: &WorkerPool,
-    sched: Scheduling,
-) -> (Vec<u8>, VopStats) {
-    let mut stats = VopStats::default();
-    let mut w = BitWriter::new();
-    let mut charge = StreamCharge::writer(stream_base);
-
-    let bbox = alpha.map(|(_, b)| b);
-    header.bbox = bbox;
-
-    let (mbx_range, mby_range) = match bbox {
-        Some((x0, y0, bw, bh)) => (x0 / 16..(x0 + bw) / 16, y0 / 16..(y0 + bh) / 16),
-        None => (0..mb_cols, 0..mb_rows),
-    };
-    let slice_rows = partition_rows(mby_range.clone(), header.slices);
-    header.slices = slice_rows.len();
-    while scratch.len() < slice_rows.len() {
-        scratch.push(SliceScratch::new(texture, mb_cols));
-    }
-
-    header.write(&mut w);
-    if let Some((a, b)) = alpha {
-        span!(mem, Phase::Shape, encode_alpha_plane(mem, a, b, &mut w));
-    }
-
-    if header.slices == 1 {
-        // Unsliced: code straight into the header's writer (the legacy
-        // single-threaded layout — no alignment between header and MBs).
-        charge.charge_to(mem, w.bit_len());
-        span!(
-            mem,
-            Phase::Slice,
-            encode_slice(
-                mem,
-                &header,
-                cur,
-                alpha,
-                fwd,
-                bwd,
-                recon,
-                &mut scratch[0],
-                search,
-                mbx_range,
-                mby_range,
-                0,
-                four_mv,
-                &mut w,
-                &mut charge,
-                &mut stats,
-            )
-        );
-        if let Some(bbox) = bbox {
-            fill_bbox_ring(mem, recon, bbox, mb_cols, mb_rows);
-        }
-        w.stuff_to_alignment();
-        charge.charge_to(mem, w.bit_len());
-        stats.bits = w.bit_len();
-        return (w.into_bytes(), stats);
-    }
-
-    // Sliced: the header segment ends byte-aligned so every slice
-    // segment starts and ends on a byte boundary and concatenates
-    // without bit-shifting.
-    w.stuff_to_alignment();
-    charge.charge_to(mem, w.bit_len());
-    let header_bits = w.bit_len();
-
-    let ctx = SliceCtx {
-        hdr: header,
-        cur,
-        alpha,
-        fwd,
-        bwd,
-        search,
-        mbx_range: mbx_range.clone(),
-        four_mv,
-    };
-    let views = recon.split_mb_rows_mut(&slice_rows);
-    let chains = build_slice_chains(
-        mem,
-        &ctx,
-        &slice_rows,
-        views,
-        scratch,
-        mby_range.start,
-        stream_base,
-        sched,
-        None,
-    );
-    let slots = run_slice_chains(pool, &ctx, chains);
-
-    let mut bytes = w.into_bytes();
-    for slot in slots {
-        let (sbytes, sstats, smem) = slot
-            .into_inner()
-            .expect("slice slot lock")
-            .expect("scope waits for every slice chain");
-        let child_total = *smem.counters();
-        mem.absorb(smem);
-        // Keep the caller's open phase from double-counting the jump
-        // `absorb` just folded in (the slices' own domain spans carry
-        // those counters, phase by phase).
-        m4ps_obs::absorbed(&child_total);
-        stats.merge(&sstats);
-        bytes.extend_from_slice(&sbytes);
-    }
-    stats.bits += header_bits;
-    if let Some(bbox) = bbox {
-        fill_bbox_ring(mem, recon, bbox, mb_cols, mb_rows);
-    }
-    (bytes, stats)
-}
-
-/// Read-shared context for one VOP's slice tasks.
-struct SliceCtx<'a> {
-    hdr: VopHeader,
+/// The frames one VOP reads: its source (with the alpha plane and
+/// bounding box of shaped VOPs) and its references.
+#[derive(Clone, Copy)]
+struct VopFrames<'a> {
     cur: &'a TracedFrame,
     alpha: Option<(&'a TracedPlane, Bbox)>,
     fwd: Option<&'a TracedFrame>,
     bwd: Option<&'a TracedFrame>,
+}
+
+/// The coder state every VOP encode uses: geometry and coding options,
+/// the texture template with its recycled per-slice scratch, motion
+/// search, rate control, the output stream position, the pool and the
+/// counter window. Kept apart from the frame buffers so one VOP can
+/// borrow its source, references and target frame from the coder while
+/// the engine codes it.
+#[derive(Debug)]
+struct EncodeEngine {
+    mb_cols: usize,
+    mb_rows: usize,
+    four_mv: bool,
+    resync_interval: Option<usize>,
+    slices: usize,
+    texture: TextureCoder,
+    /// Reusable per-slice coding state (texture scratch clones and MV
+    /// predictors), grown on first use and recycled every VOP so the
+    /// steady-state encode loop performs no per-slice heap allocation.
+    slice_scratch: Vec<SliceScratch>,
+    search: MotionSearch,
+    rate: RateController,
+    stream_base: u64,
+    stream_bits: u64,
+    keep_recon: bool,
+    /// Worker pool, created lazily on the first sliced VOP (or shared
+    /// via [`VideoObjectCoder::set_pool`]). Lazy so that constructing
+    /// many session coders — the multi-session service holds hundreds,
+    /// all sharing one pool — spawns no per-coder OS threads.
+    pool: Option<Arc<WorkerPool>>,
+    /// Thread count for the lazily created pool; 0 = resolve from the
+    /// environment at creation time.
+    threads_hint: usize,
+    sched: Scheduling,
+    /// Accumulated counter deltas over the `encode_vop` windows — the
+    /// paper's `VopCode()` instrumentation (Table 8).
+    vop_window: Counters,
+}
+
+impl EncodeEngine {
+    /// Codes one VOP into `recon` inside the paper's `VopCode()`
+    /// counter window (which doubles as the `VopEncode` span), padding
+    /// `recon` afterwards when `pad` is set, and advances the stream
+    /// position and the rate controller.
+    fn code<M: ParallelModel>(
+        &mut self,
+        mem: &mut M,
+        kind: VopKind,
+        display_index: usize,
+        frames: VopFrames<'_>,
+        recon: &mut TracedFrame,
+        pad: bool,
+    ) -> EncodedVop {
+        let qp = self.rate.qp_for(kind);
+        let window_start = *mem.counters();
+        let obs_on = m4ps_obs::enabled();
+        if obs_on {
+            m4ps_obs::enter(Phase::VopEncode, window_start);
+        }
+        let hdr = VopHeader {
+            kind,
+            display_index: display_index as u32,
+            qp,
+            bbox: frames.alpha.map(|(_, b)| b),
+            resync_interval: self.resync_interval,
+            slices: self.slices,
+        };
+        let (bytes, stats) = self.encode_vop(mem, hdr, frames, recon);
+        if pad {
+            recon.pad_borders(mem);
+        }
+        if obs_on {
+            m4ps_obs::exit(Phase::VopEncode, *mem.counters());
+        }
+        self.vop_window = self
+            .vop_window
+            .merged_with(&mem.counters().delta_since(&window_start));
+        let recon_copy = self.keep_recon.then(|| ReconPlanes {
+            y: recon.y.copy_out(mem),
+            u: recon.u.copy_out(mem),
+            v: recon.v.copy_out(mem),
+        });
+        self.stream_bits += stats.bits;
+        self.rate.update(kind, stats.bits);
+        EncodedVop {
+            kind,
+            display_index,
+            qp,
+            bytes,
+            stats,
+            recon: recon_copy,
+        }
+    }
+
+    /// Encodes one VOP. Returns the byte payload and statistics.
+    ///
+    /// The macroblock rows are partitioned with [`partition_rows`]. An
+    /// unsliced VOP runs its one slice inline on `mem`, coding straight
+    /// on from the header in the same writer. Otherwise each slice runs
+    /// as a chain of row tasks on the pool: it encodes into its own
+    /// [`BitWriter`] against a forked memory model
+    /// ([`ParallelModel::fork`]), reads the shared reference frames by
+    /// `&`, and writes the reconstruction *in place* through a disjoint
+    /// [`FrameViewMut`] over its macroblock rows — no frame clone, no
+    /// stitch-back copy. Because the partition, per-slice prediction
+    /// resets and charge addresses depend only on the *slice count* (a
+    /// bitstream parameter), the output is bit-exact for any thread
+    /// count.
+    fn encode_vop<M: ParallelModel>(
+        &mut self,
+        mem: &mut M,
+        mut hdr: VopHeader,
+        frames: VopFrames<'_>,
+        recon: &mut TracedFrame,
+    ) -> (Vec<u8>, VopStats) {
+        let (mbx_range, mby_range) = mb_ranges(hdr.bbox, self.mb_cols, self.mb_rows);
+        let slice_rows = partition_rows(mby_range.clone(), hdr.slices);
+        hdr.slices = slice_rows.len();
+        SliceScratch::reserve(
+            &mut self.slice_scratch,
+            slice_rows.len(),
+            &self.texture,
+            self.mb_cols,
+        );
+        let stream_base = self.stream_base + self.stream_bits / 8;
+        let mut w = BitWriter::new();
+        let mut charge = StreamCharge::writer(stream_base);
+        hdr.write(&mut w);
+        if let Some((a, b)) = frames.alpha {
+            span!(mem, Phase::Shape, encode_alpha_plane(mem, a, b, &mut w));
+        }
+        let ctx = SliceCtx {
+            hdr,
+            frames,
+            search: &self.search,
+            mbx_range: mbx_range.clone(),
+            four_mv: self.four_mv,
+        };
+        let views = recon.split_mb_rows_mut(&slice_rows);
+
+        if hdr.slices == 1 {
+            // Unsliced: code straight into the header's writer (the legacy
+            // single-threaded layout — no alignment between header and MBs).
+            charge.charge_to(mem, w.bit_len());
+            let view = views.into_iter().next().expect("one slice view");
+            let mut job = EncodeSlice::new(view, &mut self.slice_scratch[0], w, charge, 0, 0);
+            let Ok(()) = span!(
+                mem,
+                Phase::Slice,
+                run_inline(mem, &ctx, &mut job, mby_range)
+            );
+            let EncodeSlice {
+                mut w,
+                mut charge,
+                mut stats,
+                ..
+            } = job;
+            if let Some(bbox) = hdr.bbox {
+                fill_bbox_ring(mem, recon, bbox, self.mb_cols, self.mb_rows);
+            }
+            w.stuff_to_alignment();
+            charge.charge_to(mem, w.bit_len());
+            stats.bits = w.bit_len();
+            return (w.into_bytes(), stats);
+        }
+
+        // Sliced: the header segment ends byte-aligned so every slice
+        // segment starts and ends on a byte boundary and concatenates
+        // without bit-shifting.
+        w.stuff_to_alignment();
+        charge.charge_to(mem, w.bit_len());
+        let header_bits = w.bit_len();
+        // Forks happen here, sequentially on the coordinator, so every
+        // slice starts from an identical memory-model snapshot
+        // regardless of scheduling.
+        let chains: Vec<_> = slice_rows
+            .iter()
+            .zip(views)
+            .zip(self.slice_scratch.iter_mut())
+            .enumerate()
+            .map(|(s, ((rows, view), scratch))| {
+                let first_mb = (rows.start - mby_range.start) * mbx_range.len();
+                let cap = rows.len() * mbx_range.len() * 32 + 64;
+                let job = EncodeSlice::new(
+                    view,
+                    scratch,
+                    BitWriter::with_capacity(cap),
+                    StreamCharge::writer(stream_base + (s as u64 + 1) * SLICE_CHARGE_SPAN),
+                    s,
+                    first_mb,
+                );
+                Chain::new(mem.fork(), job, rows.clone())
+            })
+            .collect();
+        // The pool is created on the first sliced VOP, so a coder that
+        // never slices spawns no worker threads.
+        let hint = self.threads_hint;
+        let pool = self.pool.get_or_insert_with(|| {
+            Arc::new(if hint > 0 {
+                WorkerPool::new(hint)
+            } else {
+                WorkerPool::from_env()
+            })
+        });
+        let results = run_chains(pool, Phase::Slice, self.sched.grain(), &ctx, chains);
+
+        let mut bytes = w.into_bytes();
+        let mut stats = VopStats::default();
+        for result in results {
+            let ((sbytes, sstats), smem) = match result {
+                Ok(Ok(done)) => done,
+                Ok(Err(never)) => match never {},
+                // An encoder bug: re-raise it on the coordinator.
+                Err(payload) => std::panic::resume_unwind(payload),
+            };
+            let child_total = *smem.counters();
+            mem.absorb(smem);
+            // Keep the caller's open phase from double-counting the jump
+            // `absorb` just folded in (the slices' own domain spans carry
+            // those counters, phase by phase).
+            m4ps_obs::absorbed(&child_total);
+            stats.merge(&sstats);
+            bytes.extend_from_slice(&sbytes);
+        }
+        stats.bits += header_bits;
+        if let Some(bbox) = hdr.bbox {
+            fill_bbox_ring(mem, recon, bbox, self.mb_cols, self.mb_rows);
+        }
+        (bytes, stats)
+    }
+}
+
+/// Read-shared context for one VOP's macroblock rows.
+struct SliceCtx<'a> {
+    hdr: VopHeader,
+    frames: VopFrames<'a>,
     search: &'a MotionSearch,
     mbx_range: Range<usize>,
     four_mv: bool,
 }
 
-/// Everything a slice's row chain carries from one task to the next:
-/// the forked counter stream, the slice's writer and charge window,
-/// its reconstruction band and recycled scratch, and the row cursor.
-/// Moving the whole state along the chain is what pins determinism —
-/// each fork sees exactly the access sequence the coarse slice job
-/// produced, just cut into one task per `grain` rows.
-struct SliceChain<'a, M> {
-    smem: M,
+/// One slice's encode state, carried from row to row: its
+/// reconstruction band, recycled scratch, writer and charge window,
+/// tallies, and the macroblock counter.
+struct EncodeSlice<'a> {
     view: FrameViewMut<'a>,
     scratch: &'a mut SliceScratch,
     w: BitWriter,
     charge: StreamCharge,
     stats: VopStats,
     slice_index: usize,
-    rows: Range<usize>,
-    next_row: usize,
+    /// VOP-wide index of the slice's first macroblock. The in-slice
+    /// counter starts there so resynchronization markers keep their
+    /// absolute indices, and the `> first_mb` guard keeps a marker off
+    /// the slice's first macroblock (the slice header already is one).
     first_mb: usize,
     mb_counter: usize,
-    grain: usize,
 }
 
-/// A finished slice: bitstream segment, stats, forked model to absorb.
-type SliceOut<M> = (Vec<u8>, VopStats, M);
-
-/// Builds the per-slice chain states for one VOP. Forks happen here,
-/// sequentially on the coordinator, so every slice starts from an
-/// identical memory-model snapshot regardless of scheduling.
-///
-/// `inline_io` carries the VOP's header writer and charge state into a
-/// *single-slice* chain (the pipelined B-drain's unsliced case, where
-/// macroblock bits chain directly off the header with no alignment);
-/// sliced VOPs pass `None` and each slice gets a fresh byte-aligned
-/// segment with its own charge window.
-#[allow(clippy::too_many_arguments)]
-fn build_slice_chains<'a, M: ParallelModel>(
-    mem: &mut M,
-    ctx: &SliceCtx<'a>,
-    slice_rows: &[Range<usize>],
-    views: Vec<FrameViewMut<'a>>,
-    scratch: &'a mut [SliceScratch],
-    mby_start: usize,
-    stream_base: u64,
-    sched: Scheduling,
-    mut inline_io: Option<(BitWriter, StreamCharge)>,
-) -> Vec<SliceChain<'a, M>> {
-    debug_assert!(inline_io.is_none() || slice_rows.len() == 1);
-    let grain = sched.grain();
-    slice_rows
-        .iter()
-        .cloned()
-        .zip(views)
-        .zip(scratch.iter_mut())
-        .enumerate()
-        .map(|(s, ((rows, view), sc))| {
-            let first_mb = (rows.start - mby_start) * ctx.mbx_range.len();
-            let cap = rows.len() * ctx.mbx_range.len() * 32 + 64;
-            let (w, charge) = inline_io.take().unwrap_or_else(|| {
-                (
-                    BitWriter::with_capacity(cap),
-                    StreamCharge::writer(stream_base + (s as u64 + 1) * SLICE_CHARGE_SPAN),
-                )
-            });
-            SliceChain {
-                smem: mem.fork(),
-                view,
-                scratch: sc,
-                w,
-                charge,
-                stats: VopStats::default(),
-                slice_index: s,
-                next_row: rows.start,
-                first_mb,
-                mb_counter: first_mb,
-                rows,
-                grain,
-            }
-        })
-        .collect()
-}
-
-/// Spawns every chain's first task into one pool scope and returns the
-/// per-slice result slots (in slice order) once all chains finished.
-fn run_slice_chains<'a, M: ParallelModel + 'a>(
-    pool: &WorkerPool,
-    ctx: &SliceCtx<'a>,
-    mut chains: Vec<SliceChain<'a, M>>,
-) -> Vec<Mutex<Option<SliceOut<M>>>> {
-    let slots: Vec<Mutex<Option<SliceOut<M>>>> = chains.iter().map(|_| Mutex::new(None)).collect();
-    let session = m4ps_obs::current();
-    pool.scope(session.as_ref(), |scope| {
-        for (chain, slot) in chains.drain(..).zip(slots.iter()) {
-            scope.spawn(move |s| slice_chain_step(chain, ctx, slot, s));
+impl<'a> EncodeSlice<'a> {
+    fn new(
+        view: FrameViewMut<'a>,
+        scratch: &'a mut SliceScratch,
+        w: BitWriter,
+        charge: StreamCharge,
+        slice_index: usize,
+        first_mb: usize,
+    ) -> Self {
+        EncodeSlice {
+            view,
+            scratch,
+            w,
+            charge,
+            stats: VopStats::default(),
+            slice_index,
+            first_mb,
+            mb_counter: first_mb,
         }
-    });
-    slots
+    }
 }
 
-/// One task of a slice's row chain: encodes up to `grain` macroblock
-/// rows, then either spawns the continuation (the wavefront "row N+1
-/// ready" edge) or finalizes the slice into its result slot.
-fn slice_chain_step<'s, M: ParallelModel + 's>(
-    mut st: SliceChain<'s, M>,
-    ctx: &'s SliceCtx<'s>,
-    slot: &'s Mutex<Option<SliceOut<M>>>,
-    scope: &Scope<'s>,
-) {
-    // A *domain* span: this task charges the forked stream `st.smem`,
-    // not the caller's model, so its delta must not be subtracted from
-    // the lexical parent phase (the coordinator accounts for it via
-    // `absorbed` instead). Spans are per task, so each worker's span
-    // stack stays balanced; the per-pair deltas sum to the fork total.
-    let obs_on = m4ps_obs::enabled();
-    if obs_on {
-        m4ps_obs::enter_domain(Phase::Slice, *st.smem.counters());
-    }
-    if st.next_row == st.rows.start {
-        if st.slice_index > 0 {
+impl<'a, M: MemModel> SliceJob<M> for EncodeSlice<'a> {
+    type Ctx = SliceCtx<'a>;
+    type Out = (Vec<u8>, VopStats);
+    type Error = Infallible;
+
+    fn begin(&mut self, ctx: &SliceCtx<'a>) -> Result<(), Infallible> {
+        if self.slice_index > 0 {
             // Slice header: the resync word, the index of the slice's
             // first macroblock, and the quantizer.
-            let before = st.w.bit_len();
-            st.w.put_bits(u32::from(RESYNC_MARKER), 16);
-            put_ue(&mut st.w, st.first_mb as u32);
-            st.w.put_bits(u32::from(ctx.hdr.qp), 5);
+            let before = self.w.bit_len();
+            self.w.put_bits(u32::from(RESYNC_MARKER), 16);
+            put_ue(&mut self.w, self.first_mb as u32);
+            self.w.put_bits(u32::from(ctx.hdr.qp), 5);
             m4ps_obs::counter_add(
                 MetricId::ResyncMarkerBytes,
-                (st.w.bit_len() - before).div_ceil(8),
+                (self.w.bit_len() - before).div_ceil(8),
             );
         }
-        // Recycled predictors start from reset — the same state a
-        // fresh `MvPredictor::new` carries.
-        st.scratch.fwd_pred.reset();
-        st.scratch.bwd_pred.reset();
+        // Prediction state starts from reset, exactly as after a resync
+        // marker, so no prediction crosses a slice boundary. Recycled
+        // predictors reset to the state a fresh `MvPredictor::new`
+        // carries.
+        self.scratch.fwd_pred.reset();
+        self.scratch.bwd_pred.reset();
+        Ok(())
     }
-    let stop = st.next_row.saturating_add(st.grain).min(st.rows.end);
-    while st.next_row < stop {
-        encode_slice_row(
-            &mut st.smem,
-            &ctx.hdr,
-            ctx.cur,
-            ctx.alpha,
-            ctx.fwd,
-            ctx.bwd,
-            &mut st.view,
-            st.scratch,
-            ctx.search,
-            ctx.mbx_range.clone(),
-            st.next_row,
-            st.first_mb,
-            &mut st.mb_counter,
-            ctx.four_mv,
-            &mut st.w,
-            &mut st.charge,
-            &mut st.stats,
-        );
-        st.next_row += 1;
-    }
-    if st.next_row < st.rows.end {
-        if obs_on {
-            m4ps_obs::exit_domain(Phase::Slice, *st.smem.counters());
-        }
-        scope.spawn(move |s| slice_chain_step(st, ctx, slot, s));
-    } else {
-        st.w.stuff_to_alignment();
-        st.charge.charge_to(&mut st.smem, st.w.bit_len());
-        st.stats.bits = st.w.bit_len();
-        if obs_on {
-            m4ps_obs::exit_domain(Phase::Slice, *st.smem.counters());
-        }
-        *slot.lock().expect("slice slot lock") = Some((st.w.into_bytes(), st.stats, st.smem));
-    }
-}
 
-/// Encodes one slice — the macroblock rows `rows` of the VOP — into `w`.
-///
-/// `first_mb` is the VOP-wide index of the slice's first macroblock;
-/// the in-slice counter starts there so resynchronization markers keep
-/// their absolute indices, and the `> first_mb` guard keeps a marker off
-/// the slice's first macroblock (the slice header already is one).
-/// Prediction state starts from reset, exactly as after a resync marker,
-/// so no prediction crosses a slice boundary.
-#[allow(clippy::too_many_arguments)]
-fn encode_slice<M: MemModel, F: FrameSink>(
-    mem: &mut M,
-    header: &VopHeader,
-    cur: &TracedFrame,
-    alpha: Option<(&TracedPlane, Bbox)>,
-    fwd: Option<&TracedFrame>,
-    bwd: Option<&TracedFrame>,
-    recon: &mut F,
-    scratch: &mut SliceScratch,
-    search: &MotionSearch,
-    mbx_range: Range<usize>,
-    rows: Range<usize>,
-    first_mb: usize,
-    four_mv: bool,
-    w: &mut BitWriter,
-    charge: &mut StreamCharge,
-    stats: &mut VopStats,
-) {
-    // Recycled predictors start from reset — the same state a fresh
-    // `MvPredictor::new` carries, as pinned by the parallel tests.
-    scratch.fwd_pred.reset();
-    scratch.bwd_pred.reset();
-    let mut mb_counter = first_mb;
-    for mby in rows {
-        encode_slice_row(
-            mem,
-            header,
+    /// Encodes one macroblock row of the slice. This is the wavefront
+    /// task granule: all state that crosses row boundaries within a
+    /// slice (the MV predictors' row window, the macroblock counter for
+    /// resync markers, the bit position) lives in `self`.
+    fn row(&mut self, mem: &mut M, ctx: &SliceCtx<'a>, mby: usize) -> Result<(), Infallible> {
+        let EncodeSlice {
+            view: recon,
+            scratch,
+            w,
+            charge,
+            stats,
+            first_mb,
+            mb_counter,
+            ..
+        } = self;
+        let SliceScratch {
+            texture,
+            fwd_pred,
+            bwd_pred,
+        } = &mut **scratch;
+        let VopFrames {
             cur,
             alpha,
             fwd,
             bwd,
-            recon,
-            scratch,
-            search,
-            mbx_range.clone(),
-            mby,
-            first_mb,
-            &mut mb_counter,
-            four_mv,
-            w,
-            charge,
-            stats,
-        );
-    }
-}
-
-/// Encodes one macroblock row of a slice. This is the wavefront task
-/// granule: all state that crosses row boundaries within a slice (the
-/// MV predictors' row window, the macroblock counter for resync
-/// markers, the bit position) arrives via `scratch`/`mb_counter`/`w`,
-/// carried along the slice's task chain.
-#[allow(clippy::too_many_arguments)]
-fn encode_slice_row<M: MemModel, F: FrameSink>(
-    mem: &mut M,
-    header: &VopHeader,
-    cur: &TracedFrame,
-    alpha: Option<(&TracedPlane, Bbox)>,
-    fwd: Option<&TracedFrame>,
-    bwd: Option<&TracedFrame>,
-    recon: &mut F,
-    scratch: &mut SliceScratch,
-    search: &MotionSearch,
-    mbx_range: Range<usize>,
-    mby: usize,
-    first_mb: usize,
-    mb_counter: &mut usize,
-    four_mv: bool,
-    w: &mut BitWriter,
-    charge: &mut StreamCharge,
-    stats: &mut VopStats,
-) {
-    let qp = header.qp;
-    let SliceScratch {
-        texture,
-        fwd_pred,
-        bwd_pred,
-    } = scratch;
-    {
+        } = ctx.frames;
+        let (hdr, search) = (&ctx.hdr, ctx.search);
+        let qp = hdr.qp;
         fwd_pred.start_row();
         bwd_pred.start_row();
         let mut ips = IntraPredState::reset();
-        for mbx in mbx_range.clone() {
-            if let Some(interval) = header.resync_interval {
-                if *mb_counter > first_mb && mb_counter.is_multiple_of(interval) {
+        for mbx in ctx.mbx_range.clone() {
+            if let Some(interval) = hdr.resync_interval {
+                if *mb_counter > *first_mb && mb_counter.is_multiple_of(interval) {
                     // Resynchronization point: byte-aligned marker, the
                     // macroblock index, the quantizer, and a full
                     // prediction reset (no prediction crosses a marker).
@@ -1647,7 +1122,7 @@ fn encode_slice_row<M: MemModel, F: FrameSink>(
                 continue;
             }
             texture.charge_mb_overhead(mem);
-            match header.kind {
+            match hdr.kind {
                 VopKind::I => {
                     // One span covers the whole intra texture pipeline
                     // (DCT + quant + VLC + recon): intra MBs would cost
@@ -1663,8 +1138,20 @@ fn encode_slice_row<M: MemModel, F: FrameSink>(
                 VopKind::P => {
                     let reference = fwd.expect("P-VOP requires a forward reference");
                     encode_p_mb(
-                        mem, cur, reference, recon, texture, search, qp, mbx, mby, &mut ips,
-                        fwd_pred, w, stats, four_mv,
+                        mem,
+                        cur,
+                        reference,
+                        recon,
+                        texture,
+                        search,
+                        qp,
+                        mbx,
+                        mby,
+                        &mut ips,
+                        fwd_pred,
+                        w,
+                        stats,
+                        ctx.four_mv,
                     );
                 }
                 VopKind::B => {
@@ -1679,6 +1166,15 @@ fn encode_slice_row<M: MemModel, F: FrameSink>(
             }
             charge.charge_to(mem, w.bit_len());
         }
+        Ok(())
+    }
+
+    /// Ends the slice's segment on a byte boundary and charges its tail.
+    fn finish(mut self, mem: &mut M, _ctx: &SliceCtx<'a>) -> (Vec<u8>, VopStats) {
+        self.w.stuff_to_alignment();
+        self.charge.charge_to(mem, self.w.bit_len());
+        self.stats.bits = self.w.bit_len();
+        (self.w.into_bytes(), self.stats)
     }
 }
 
@@ -1727,7 +1223,7 @@ pub(crate) fn encode_intra_mb<M: MemModel, F: FrameSink>(
 
 /// Motion-compensates the full macroblock (luma 16×16 + both chroma 8×8)
 /// from `reference` and returns the three prediction buffers.
-fn predict_mb<M: MemModel>(
+pub(crate) fn predict_mb<M: MemModel>(
     mem: &mut M,
     reference: &TracedFrame,
     texture: &TextureCoder,

@@ -12,7 +12,9 @@
 //! Runs the sweep over both scheduling modes and worker counts on one
 //! persistent pool per configuration: after warmup the pool's deques
 //! and the coder's scratch are at capacity, so the budget also pins
-//! the scheduler's steady state.
+//! the scheduler's steady state. A second sweep runs IBBP GOPs, at a
+//! fixed quantizer and rate-controlled, so queued B-VOPs draining
+//! through the same slice engine are held to the same budget.
 //!
 //! Lives in its own integration-test binary because it installs a
 //! process-wide `#[global_allocator]`.
@@ -27,21 +29,30 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 
 const MBS_PER_FRAME: u64 = 99; // QCIF: 11 × 9 macroblocks
 const WARMUP_FRAMES: usize = 4;
-const MEASURED_FRAMES: usize = 8;
+/// A multiple of the IBBP group length (3), so a B-frame sweep measures
+/// whole groups of one anchor and its two queued B-VOPs.
+const MEASURED_FRAMES: usize = 9;
 
-fn steady_state_allocs_per_frame(sched: Scheduling, threads: usize) -> u64 {
+fn steady_state_allocs_per_frame(
+    sched: Scheduling,
+    threads: usize,
+    b_frames: usize,
+    bitrate: Option<u32>,
+) -> u64 {
     let scene = Scene::new(SceneSpec {
         resolution: Resolution::QCIF,
         objects: 0,
         seed: 7,
     });
-    // P-only GOP keeps the B-queue from deferring output: every call
-    // emits exactly one VOP, so per-frame deltas are comparable.
+    // No intra refresh inside the measured window. With `b_frames = 0`
+    // every call emits exactly one VOP; otherwise every third call
+    // emits an anchor and the two B-VOPs queued before it.
     let config = EncoderConfig {
         gop: GopStructure {
             intra_period: 1 << 20,
-            b_frames: 0,
+            b_frames,
         },
+        bitrate,
         ..EncoderConfig::fast_test()
     }
     .with_slices(2);
@@ -85,12 +96,28 @@ fn steady_state_slice_encode_does_not_allocate_per_macroblock() {
         (Scheduling::Wavefront, 1),
         (Scheduling::Wavefront, 2),
     ] {
-        let per_frame = steady_state_allocs_per_frame(sched, threads);
+        let per_frame = steady_state_allocs_per_frame(sched, threads, 0, None);
         assert!(
             per_frame < MBS_PER_FRAME,
             "steady-state {sched:?} encode at {threads} threads allocates \
              {per_frame} times per frame (>= {MBS_PER_FRAME} macroblocks) — \
              a per-macroblock allocation is back"
         );
+    }
+}
+
+#[test]
+fn steady_state_b_frame_encode_does_not_allocate_per_macroblock() {
+    for bitrate in [None, Some(38_400)] {
+        for threads in [1, 2] {
+            let per_frame =
+                steady_state_allocs_per_frame(Scheduling::Wavefront, threads, 2, bitrate);
+            assert!(
+                per_frame < MBS_PER_FRAME,
+                "steady-state IBBP encode (bitrate {bitrate:?}) at {threads} threads \
+                 allocates {per_frame} times per frame (>= {MBS_PER_FRAME} \
+                 macroblocks) — a per-macroblock allocation is back"
+            );
+        }
     }
 }

@@ -14,14 +14,16 @@ use m4ps_vidgen::{Resolution, Scene, SceneSpec};
 
 const FRAMES: usize = 5;
 
-fn test_config(slices: usize, b_frames: usize) -> EncoderConfig {
-    // B-frames on so the parallel path covers I, P and B slices (and
-    // the fixed-QP pipelined B-drain when `b_frames > 0`).
+fn test_config(slices: usize, b_frames: usize, bitrate: Option<u32>) -> EncoderConfig {
+    // B-frames on so the parallel path covers I, P and B slices; each
+    // queued B-VOP drains one after another, at a fixed quantizer
+    // (`bitrate: None`) or under rate control.
     EncoderConfig {
         gop: GopStructure {
             intra_period: 4,
             b_frames,
         },
+        bitrate,
         ..EncoderConfig::fast_test()
     }
     .with_slices(slices)
@@ -38,22 +40,19 @@ fn encode_stream<M: m4ps_memsim::ParallelModel>(
     encode_scene(
         mem,
         7,
-        slices,
-        1,
+        test_config(slices, 1, None),
         threads,
         Scheduling::Wavefront,
         keep_recon,
     )
 }
 
-/// Like [`encode_stream`] but over an arbitrary scene seed, B-queue
-/// depth and scheduling mode.
-#[allow(clippy::too_many_arguments)]
+/// Like [`encode_stream`] but over an arbitrary scene seed, coder
+/// configuration and scheduling mode.
 fn encode_scene<M: m4ps_memsim::ParallelModel>(
     mem: &mut M,
     scene_seed: u64,
-    slices: usize,
-    b_frames: usize,
+    config: EncoderConfig,
     threads: usize,
     sched: Scheduling,
     keep_recon: bool,
@@ -64,8 +63,7 @@ fn encode_scene<M: m4ps_memsim::ParallelModel>(
         seed: scene_seed,
     });
     let mut space = AddressSpace::new();
-    let mut coder =
-        VideoObjectCoder::new(&mut space, 176, 144, test_config(slices, b_frames)).unwrap();
+    let mut coder = VideoObjectCoder::new(&mut space, 176, 144, config).unwrap();
     coder.set_threads(threads);
     coder.set_scheduling(sched);
     coder.set_keep_recon(keep_recon);
@@ -115,10 +113,11 @@ fn bitstream_is_identical_across_scheduling_modes() {
     // slice-parallel runs it as one coarse job. Same bytes either way,
     // at any worker count.
     let mut mem = NullModel::new();
-    let (reference, _) = encode_scene(&mut mem, 7, 4, 1, 1, Scheduling::SliceParallel, false);
+    let config = test_config(4, 1, None);
+    let (reference, _) = encode_scene(&mut mem, 7, config, 1, Scheduling::SliceParallel, false);
     for threads in [1, 3, 4] {
         for sched in [Scheduling::SliceParallel, Scheduling::Wavefront] {
-            let (stream, _) = encode_scene(&mut mem, 7, 4, 1, threads, sched, false);
+            let (stream, _) = encode_scene(&mut mem, 7, config, threads, sched, false);
             assert_eq!(
                 stream, reference,
                 "{sched:?} at {threads} threads differs from sequential slice-parallel"
@@ -176,13 +175,14 @@ fn slice_count_is_a_bitstream_parameter() {
 
 #[test]
 fn random_scenes_encode_identically_for_any_schedule() {
-    // Property: for ANY scene, slice count, B-queue depth, thread
-    // count and scheduling mode, the parallel encode produces exactly
-    // the bitstream and merged counters of the sequential (threads =
-    // 1, coarse slice jobs) encode at the SAME slice count and GOP.
-    // Randomizing all of them covers uneven slice partitions,
-    // more-threads-than-slices schedules, the pipelined fixed-QP
-    // B-drain and the wavefront row chains the pinned tests above
+    // Property: for ANY scene, slice count, B-queue depth, rate
+    // control setting, thread count and scheduling mode, the parallel
+    // encode produces exactly the bitstream and merged counters of the
+    // sequential (threads = 1, coarse slice jobs) encode at the SAME
+    // slice count, GOP and bitrate. Randomizing all of them covers
+    // uneven slice partitions, more-threads-than-slices schedules,
+    // sliced B-VOPs draining at a fixed quantizer and under rate
+    // control, and the wavefront row chains the pinned tests above
     // don't reach.
     prop::check(
         "parallel_encode_determinism",
@@ -192,15 +192,15 @@ fn random_scenes_encode_identically_for_any_schedule() {
                 rng.gen_range(0u64..1 << 32),
                 rng.gen_range(1..=10usize),
                 rng.gen_range(0..=2usize),
+                rng.gen_bool().then_some(38_400u32),
                 rng.gen_range(2..=8usize),
             )
         },
-        |&(scene_seed, slices, b_frames, threads)| {
+        |&(scene_seed, slices, b_frames, bitrate, threads)| {
+            let config = test_config(slices, b_frames, bitrate);
             let run = |threads: usize, sched: Scheduling| {
                 let mut mem = Hierarchy::new(MachineSpec::o2());
-                let (stream, _) = encode_scene(
-                    &mut mem, scene_seed, slices, b_frames, threads, sched, false,
-                );
+                let (stream, _) = encode_scene(&mut mem, scene_seed, config, threads, sched, false);
                 (stream, *mem.counters())
             };
             let (seq_stream, seq_counters) = run(1, Scheduling::SliceParallel);
@@ -209,13 +209,13 @@ fn random_scenes_encode_identically_for_any_schedule() {
                 if par_stream != seq_stream {
                     return Err(format!(
                         "bitstream differs: {slices} slices, {b_frames} B, \
-                         {threads} threads, {sched:?}"
+                         bitrate {bitrate:?}, {threads} threads, {sched:?}"
                     ));
                 }
                 if par_counters != seq_counters {
                     return Err(format!(
                         "merged counters differ: {slices} slices, {b_frames} B, \
-                         {threads} threads, {sched:?}"
+                         bitrate {bitrate:?}, {threads} threads, {sched:?}"
                     ));
                 }
             }
